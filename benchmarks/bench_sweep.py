@@ -26,7 +26,7 @@ from repro.sweep.worker import _scenario_for, run_cell
 def _spec() -> GridSpec:
     n_seeds = 3 if quick_mode() else 6
     return GridSpec(
-        axes={"policy": ["anu", "random"]},
+        axes={"policy": ["anu", "simple-random"]},
         seeds=list(range(n_seeds)),
         base={
             "n_filesets": 12,

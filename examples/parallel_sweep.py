@@ -26,7 +26,7 @@ from repro.sweep import GridSpec, run_sweep
 
 # Two policies x six seeds = 12 cells, each a quick-sized simulation.
 SPEC = GridSpec(
-    axes={"policy": ["anu", "random"]},
+    axes={"policy": ["anu", "simple-random"]},
     seeds=range(6),
     base={
         "n_filesets": 12,

@@ -49,7 +49,7 @@ from ..placement.base import PlacementPolicy, TuningContext, validate_assignment
 from ..placement.replicated import derive_owner_sets
 from ..runtime.arrivals import ArrivalPump
 from ..runtime.loop import TuningLoop
-from ..runtime.routing import RequestRouter, SingleOwnerRouter
+from ..runtime.routing import RequestRouter, SingleOwnerRouter, pick_owner
 from ..runtime.result import SimResult, summarize_collector
 from ..runtime.telemetry import (
     NULL_SINK,
@@ -363,41 +363,25 @@ class ClusterSimulation:
     def _pick_owner(
         self, fileset: str, state: FileSetState
     ) -> tuple[int, MetadataServer | None]:
-        """The (slot, server) the router picks among live owners.
-
+        """The (slot, server) the router picks among live owners;
         ``(0, None)`` means every owner is down and the request must
-        buffer.  The r=1 path never consults the router, preserving the
-        pre-refactor dispatch exactly.
-        """
-        primary = self.servers.get(state.owner)
-        primary_up = primary is not None and primary.alive
-        if self.replication == 1:
-            return 0, (primary if primary_up else None)
-        candidates: list[tuple[int, MetadataServer]] = []
-        if primary_up:
-            assert primary is not None
-            candidates.append((0, primary))
-        # Slot numbering matches owner_sets(): replicas that coincide with
-        # the current owner (possible mid-move) are compacted out, not
-        # skipped-with-a-gap, so the telemetry slot indexes the owner set.
-        slot = 0
-        for name in self._replica_owners.get(fileset, ()):
-            if name == state.owner:
-                continue
-            slot += 1
-            replica = self.servers.get(name)
-            if replica is not None and replica.alive:
-                candidates.append((slot, replica))
-        if not candidates:
-            return 0, None
-        if len(candidates) == 1:
-            return candidates[0]
-        index = self.router.choose(
+        buffer."""
+        slot, name = pick_owner(
+            self.router,
             fileset,
-            [server.name for _, server in candidates],
-            lambda name: self.servers[name].facility.queue_length,
+            state.owner,
+            self._replica_owners.get(fileset, ()),
+            self._is_live,
+            self._queue_length,
         )
-        return candidates[index]
+        return slot, (None if name is None else self.servers[name])
+
+    def _is_live(self, name: str) -> bool:
+        server = self.servers.get(name)
+        return server is not None and server.alive
+
+    def _queue_length(self, name: str) -> int:
+        return self.servers[name].facility.queue_length
 
     def _make_completion(self, server: MetadataServer, service_time: float):
         def _on_complete(request: MetadataRequest) -> None:

@@ -9,61 +9,22 @@ state between experiments.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..cluster.cluster import ClusterConfig, ClusterSimulation, RunResult
 from ..membership.faults import FaultSchedule
-from ..core.tuning import (
-    AGGRESSIVE,
-    ALL_HEURISTICS,
-    DIVERGENT_ONLY,
-    THRESHOLD_ONLY,
-    TOP_OFF_ONLY,
-)
-from ..placement.anu_policy import ANUPolicy, DecentralizedANUPolicy
-from ..placement.base import PlacementPolicy
-from ..placement.consistent_hash import ConsistentHashPolicy
-from ..placement.prescient import PrescientPolicy
-from ..placement.round_robin import RoundRobinPolicy
-from ..placement.simple_random import SimpleRandomPolicy
-from ..placement.two_choice import TwoChoicePolicy
+from ..placement.registry import available_policies, make_policy
 from ..runtime.telemetry import TelemetrySink
 from ..workloads.dfstrace import DFSTraceLikeConfig, generate_dfstrace_like
 from ..workloads.synthetic import SyntheticConfig, generate_synthetic
 from ..workloads.trace import Trace
 from .config import ExperimentConfig
 
-_POLICY_FACTORIES: dict[str, Callable[[], PlacementPolicy]] = {
-    "simple-random": SimpleRandomPolicy,
-    "round-robin": RoundRobinPolicy,
-    "prescient": PrescientPolicy,
-    "consistent-hash": ConsistentHashPolicy,
-    "anu": lambda: ANUPolicy(ALL_HEURISTICS),
-    "anu-aggressive": lambda: ANUPolicy(AGGRESSIVE),
-    "anu-threshold-only": lambda: ANUPolicy(THRESHOLD_ONLY),
-    "anu-top-off-only": lambda: ANUPolicy(TOP_OFF_ONLY),
-    "anu-divergent-only": lambda: ANUPolicy(DIVERGENT_ONLY),
-    "anu-decentralized": DecentralizedANUPolicy,
-    "two-choice": TwoChoicePolicy,
-    "two-choice-weighted": TwoChoicePolicy,
-    "consistent-hash-weighted": ConsistentHashPolicy,
-}
-
-
-def available_policies() -> list[str]:
-    """Names accepted by :func:`make_policy`."""
-    return sorted(_POLICY_FACTORIES)
-
-
-def make_policy(name: str) -> PlacementPolicy:
-    """A fresh policy instance for ``name``."""
-    try:
-        factory = _POLICY_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; available: {available_policies()}"
-        ) from None
-    return factory()
+__all__ = [
+    "available_policies",
+    "generate_trace",
+    "make_policy",
+    "run_experiment",
+    "run_policy",
+]
 
 
 def generate_trace(
@@ -86,26 +47,16 @@ def run_policy(
 ) -> RunResult:
     """Run one policy against one trace.
 
-    The prescient policy is granted its oracle here: the true server speeds
-    and the first tuning interval's per-file-set demand (so it "begins in a
-    load-balanced state at time 0" as the paper specifies).
+    The registry grants the prescient and ``-weighted`` policies the
+    cluster's true server speeds; the oracle also sees the demand over
+    its first horizon (``oracle_horizon``, default one tuning interval).
     """
-    policy = make_policy(policy_name)
-    if isinstance(policy, PrescientPolicy):
-        horizon = cluster.oracle_horizon or cluster.tuning_interval
-        policy.grant_oracle(
-            cluster.speeds,
-            trace.demand_by_fileset(0.0, horizon),
-        )
-    # The "-weighted" variants get static capacity knowledge (server
-    # speeds) — they model an administrator configuring weights by hand,
-    # which the paper's self-configuring claim argues against needing.
-    if policy_name == "two-choice-weighted":
-        assert isinstance(policy, TwoChoicePolicy)
-        policy.grant_weights(cluster.speeds)
-    elif policy_name == "consistent-hash-weighted":
-        assert isinstance(policy, ConsistentHashPolicy)
-        policy.weights = dict(cluster.speeds)
+    policy = make_policy(
+        policy_name,
+        speeds=cluster.speeds,
+        trace=trace,
+        horizon=cluster.oracle_horizon or cluster.tuning_interval,
+    )
     sim = ClusterSimulation(cluster, policy, trace, faults, telemetry=telemetry)
     return sim.run()
 

@@ -38,7 +38,7 @@ from ..metrics.latency import LatencyCollector
 from ..placement.base import TuningContext
 from ..runtime.arrivals import schedule_all
 from ..runtime.loop import TuningLoop
-from ..runtime.routing import RequestRouter, SingleOwnerRouter
+from ..runtime.routing import RequestRouter, SingleOwnerRouter, pick_owner
 from ..runtime.result import SimResult, summarize_collector
 from ..runtime.telemetry import (
     NULL_SINK,
@@ -263,29 +263,27 @@ class FullSystemSimulation:
     def _pick_server(self, fileset: str, owner: str) -> tuple[int, str]:
         """The (slot, server) that serves this operation.
 
-        At ``replication=1`` this is the authoritative owner with no
-        router consultation — the classic path, byte-identical to the
-        pre-refactor harness.  At higher r the router picks among the
-        file set's owner set (restricted to servers with facilities).
+        At ``replication=1`` this is the authoritative owner; at higher r
+        the router picks among the file set's owner set (restricted to
+        servers with facilities).
         """
-        if self.config.replication == 1:
-            return 0, owner
-        owners = self.cluster.owner_set_of(fileset, self.config.replication)
-        candidates = [
-            (slot, name)
-            for slot, name in enumerate(owners)
-            if name in self.facilities
-        ]
-        if not candidates:
-            return 0, owner
-        if len(candidates) == 1:
-            return candidates[0]
-        index = self.router.choose(
-            fileset,
-            [name for _, name in candidates],
-            lambda name: self.facilities[name].queue_length,
+        replication = self.config.replication
+        replicas = (
+            self.cluster.owner_set_of(fileset, replication)[1:]
+            if replication > 1 else ()
         )
-        return candidates[index]
+        slot, server = pick_owner(
+            self.router,
+            fileset,
+            owner,
+            replicas,
+            self.facilities.__contains__,
+            self._queue_length,
+        )
+        return slot, owner if server is None else server
+
+    def _queue_length(self, name: str) -> int:
+        return self.facilities[name].queue_length
 
     def _execute(self, op: Operation) -> OpResult:
         _server, result = self.cluster.submit(

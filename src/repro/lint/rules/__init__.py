@@ -16,7 +16,6 @@ Rule catalogue
 - ``RPL007`` — mutable default argument
 - ``RPL008`` — bare ``except:``
 - ``RPL009`` — ``global`` statement in production code
-- ``RPL011`` — import through a compatibility shim module
 
 Interprocedural (flow) rules — see :mod:`repro.lint.flow`:
 
@@ -168,7 +167,7 @@ def dotted_name(node: ast.AST) -> tuple[str, ...]:
 # Import rule modules for their registration side effects.  The flow
 # modules import back into this package (FlowRule, dotted_name), which is
 # safe because everything they need is defined above this line.
-from . import arithmetic, determinism, hygiene, shims  # noqa: E402,F401
+from . import arithmetic, determinism, hygiene  # noqa: E402,F401
 from ..flow import (  # noqa: E402,F401
     fork_state,
     mutation,

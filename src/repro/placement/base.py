@@ -17,14 +17,12 @@ from ``context.rng``), so whole simulations replay exactly from a seed.
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..core.tuning import ServerReport
-from ..sim.rng import StreamFactory
 
 
 @dataclass
@@ -46,9 +44,8 @@ class TuningContext:
     server_speeds: Mapping[str, float] | None = None
     oracle_demand: Mapping[str, float] | None = None
     #: Policy randomness MUST come from here so runs replay from a seed.
-    #: Harnesses built on :mod:`repro.runtime` always pass an explicit
-    #: stream derived from the run's seed; contexts built without one get
-    #: a deprecated seed-0 fallback (see ``__post_init__``).
+    #: Required: harnesses built on :mod:`repro.runtime` pass a stream
+    #: derived from the run's seed, and a context without one is rejected.
     rng: np.random.Generator | None = None
     #: Replicated-ownership view (assignment plane, r > 1): file set ->
     #: its full owner tuple, slot 0 being the primary in ``assignment``.
@@ -57,19 +54,13 @@ class TuningContext:
 
     def __post_init__(self) -> None:
         if self.rng is None:
-            # The old default_factory silently handed every context the
-            # SAME seed-0 stream, so two simulations with different seeds
-            # shared policy randomness — a determinism trap.  Keep the
-            # fallback for hand-built contexts, but make it loud.
-            warnings.warn(
-                "TuningContext built without an explicit rng; falling back "
-                "to the seed-0 'tuning-context' stream. Pass a stream "
-                "derived from the run's seed (the repro.runtime harnesses "
-                "do this automatically).",
-                DeprecationWarning,
-                stacklevel=3,
+            # A shared fallback stream would let two simulations with
+            # different seeds share policy randomness — a determinism trap.
+            raise ValueError(
+                "TuningContext needs an explicit rng: pass a stream derived "
+                "from the run's seed (the repro.runtime harnesses do this "
+                "automatically)"
             )
-            self.rng = StreamFactory(0).stream("tuning-context")
 
 
 class PlacementPolicy(abc.ABC):

@@ -24,7 +24,8 @@ Routers are deterministic given their bound RNG stream: harnesses bind a
 named stream from the run's :class:`~repro.sim.rng.StreamFactory`, so
 routed runs replay from the seed like everything else.  ``choose``
 returns an *index* into the candidate sequence, which arrives in owner-
-slot order — the caller maps it back to a (slot, server) pair for the
+slot order; :func:`pick_owner` — the one owner-pick path every stack
+dispatches through — maps it back to a (slot, server) pair for the
 dispatch telemetry record.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "WeightedPowerOfDRouter",
     "ROUTER_FACTORIES",
     "make_router",
+    "pick_owner",
 ]
 
 
@@ -218,3 +220,37 @@ def make_router(name: str) -> RequestRouter:
             f"{', '.join(sorted(ROUTER_FACTORIES))}"
         ) from None
     return factory()
+
+
+def pick_owner(
+    router: RequestRouter,
+    fileset: str,
+    primary: str,
+    replicas: Sequence[str],
+    is_live: Callable[[str], bool],
+    queue_len: Callable[[str], int],
+) -> tuple[int, str | None]:
+    """The (slot, server) that serves one request to ``fileset``.
+
+    The owner set is ``primary`` at slot 0 followed by ``replicas``.  A
+    replica equal to the primary (possible mid-move) is compacted out, so
+    slots index the owner set; a dead member keeps its slot number.  The
+    router is consulted only when two or more owners are live, so r=1
+    dispatch never touches it.  ``(0, None)`` means every owner is down.
+    """
+    if not replicas:
+        return 0, (primary if is_live(primary) else None)
+    candidates = [(0, primary)] if is_live(primary) else []
+    slot = 0
+    for name in replicas:
+        if name == primary:
+            continue
+        slot += 1
+        if is_live(name):
+            candidates.append((slot, name))
+    if not candidates:
+        return 0, None
+    if len(candidates) == 1:
+        return candidates[0]
+    index = router.choose(fileset, [name for _, name in candidates], queue_len)
+    return candidates[index]

@@ -5,7 +5,6 @@ C discrete-event toolkit.  This subpackage is a from-scratch Python
 equivalent providing the pieces the paper's simulator needs:
 
 - :class:`~repro.sim.engine.Engine` — clock + event calendar;
-- :class:`~repro.sim.process.Process` — YACSIM-style sequential processes;
 - :class:`~repro.sim.resources.Facility` — FIFO single-server queue with
   statistics (:class:`~repro.sim.resources.Monitor`);
 - :class:`~repro.sim.rng.StreamFactory` — named, independent random streams.
@@ -19,7 +18,6 @@ from .events import (
     Event,
     SimulationError,
 )
-from .process import Condition, Process, all_of
 from .resources import Facility, Monitor
 from .rng import StreamFactory, exponential, uniform
 
@@ -30,9 +28,6 @@ __all__ = [
     "PRIORITY_EARLY",
     "PRIORITY_LATE",
     "PRIORITY_NORMAL",
-    "Condition",
-    "Process",
-    "all_of",
     "Facility",
     "Monitor",
     "StreamFactory",

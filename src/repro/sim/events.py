@@ -7,8 +7,8 @@ arguments; ties in simulated time are broken first by an integer ``priority``
 deterministic for a fixed seed.
 
 This module is the bottom layer of our YACSIM substitute (see DESIGN.md §2):
-YACSIM's "event" and "activity" notions map to :class:`Event` plus the
-process layer in :mod:`repro.sim.process`.
+YACSIM's "event" and "activity" notions map to :class:`Event` and its
+callback; the harnesses are callback-driven rather than coroutine-style.
 """
 
 from __future__ import annotations

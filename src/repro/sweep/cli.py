@@ -12,10 +12,11 @@ import sys
 import time
 from typing import Sequence
 
+from ..placement.registry import available_policies
 from ..runtime.routing import ROUTER_FACTORIES
 from .grid import GridSpec, PlanError
 from .orchestrator import EXECUTORS, run_sweep
-from .worker import LIMP_SCHEDULES, POLICY_FACTORIES
+from .worker import LIMP_SCHEDULES
 
 __all__ = ["main"]
 
@@ -34,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (plan.json, shards/, merged.jsonl)",
     )
     parser.add_argument(
-        "--policies", default="anu,random",
+        "--policies", default="anu,simple-random",
         help="comma-separated policy axis (default: %(default)s)",
     )
     parser.add_argument(
@@ -112,14 +113,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_policies:
-        for name in sorted(POLICY_FACTORIES):
+        for name in available_policies():
             print(name)
         return 0
     if args.out is None:
         parser.error("--out is required (unless --list-policies)")
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    unknown = sorted(set(policies) - set(POLICY_FACTORIES))
+    unknown = sorted(set(policies) - set(available_policies()))
     if not policies or unknown:
         parser.error(
             f"unknown policies: {', '.join(unknown)}" if unknown

@@ -25,15 +25,9 @@ from typing import Callable, Mapping
 
 from ..cluster.cluster import RunResult, paper_servers
 from ..membership.faults import FaultSchedule
-from ..placement.anu_policy import ANUPolicy
 from ..placement.base import PlacementPolicy
-from ..placement.consistent_hash import ConsistentHashPolicy
-from ..placement.prescient import PrescientPolicy
-from ..placement.round_robin import RoundRobinPolicy
+from ..placement.registry import policy_factory
 from ..placement.replicated import ReplicatedPolicy
-from ..placement.simple_random import SimpleRandomPolicy
-from ..placement.two_choice import TwoChoicePolicy
-from ..runtime.routing import ROUTER_FACTORIES
 from ..runtime.scenario import Scenario
 from ..runtime.telemetry import DigestSink
 from ..workloads.synthetic import SyntheticConfig, generate_synthetic
@@ -41,20 +35,9 @@ from .api import clear_process_caches, worker_entry
 
 __all__ = [
     "LIMP_SCHEDULES",
-    "POLICY_FACTORIES",
     "pool_initializer",
     "run_cell",
 ]
-
-#: Policy-zoo registry: sweep axis value -> fresh-policy factory.
-POLICY_FACTORIES: dict[str, Callable[[], PlacementPolicy]] = {
-    "anu": ANUPolicy,
-    "random": SimpleRandomPolicy,
-    "round-robin": RoundRobinPolicy,
-    "two-choice": TwoChoicePolicy,
-    "prescient": PrescientPolicy,
-    "consistent-hash": ConsistentHashPolicy,
-}
 
 
 def pool_initializer() -> None:
@@ -131,14 +114,6 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
     unknown = sorted(set(params) - known)
     if unknown:
         raise ValueError(f"unknown sweep parameter(s): {', '.join(unknown)}")
-    policy_name = str(params.get("policy", "anu"))
-    try:
-        factory = POLICY_FACTORIES[policy_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {policy_name!r}; known: "
-            f"{', '.join(sorted(POLICY_FACTORIES))}"
-        ) from None
     limp_name = str(params.get("limp", "none"))
     try:
         limp_factory = LIMP_SCHEDULES[limp_name]
@@ -158,26 +133,18 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
             seed=seed,
         )
     )
-    if policy_name == "prescient":
-        # The prescient comparator needs its oracle granted up front:
-        # the *nominal* server speeds (perfect static knowledge — gray
-        # failures stay invisible even to the oracle, which is the
-        # point of the limp axis) and the first interval's demand.
-        nominal = {s.name: s.speed for s in paper_servers()}
-        first_demand = trace.demand_by_fileset(0.0, tuning_interval)
-
-        def factory() -> PlacementPolicy:
-            policy = PrescientPolicy()
-            policy.grant_oracle(nominal, first_demand)
-            return policy
-
+    servers = paper_servers()
+    # The prescient and -weighted policies are granted the *nominal*
+    # server speeds (perfect static knowledge — gray failures stay
+    # invisible even to the oracle, which is the point of the limp axis);
+    # the oracle also sees the first interval's demand.
+    factory = policy_factory(
+        str(params.get("policy", "anu")),
+        speeds={s.name: s.speed for s in servers},
+        trace=trace,
+        horizon=tuning_interval,
+    )
     replication = int(params.get("r", 1))
-    router = str(params.get("router", "single"))
-    if router not in ROUTER_FACTORIES:
-        raise ValueError(
-            f"unknown router {router!r}; known: "
-            f"{', '.join(sorted(ROUTER_FACTORIES))}"
-        )
     if replication > 1:
         # Wrap so the row's policy name carries the replication level
         # ("anu+r2"); the harness derives the same owner sets either way.
@@ -187,14 +154,14 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
             return ReplicatedPolicy(base_factory(), replication)
 
     return Scenario(
-        servers=paper_servers(),
+        servers=servers,
         trace=trace,
         policy=factory,
         faults=limp_factory(duration) if limp_factory is not None else None,
         tuning_interval=tuning_interval,
         seed=seed,
         replication=replication,
-        router=router,
+        router=str(params.get("router", "single")),
     )
 
 

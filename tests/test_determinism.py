@@ -112,18 +112,18 @@ def test_full_system_simulation_replays_bit_identically():
 
 
 def test_tuning_context_rng_fallback_is_deprecated():
-    """Omitting rng warns loudly (the old silent seed-0 default trap)."""
+    """The deprecated seed-0 fallback is gone: omitting rng fails at
+    build time instead of silently sharing one stream across seeds."""
     import warnings
 
     import pytest
 
     from repro.placement.base import TuningContext
 
-    with pytest.warns(DeprecationWarning, match="explicit rng"):
-        ctx = TuningContext(
+    with pytest.raises(ValueError, match="explicit rng"):
+        TuningContext(
             time=0.0, filesets=[], servers=["s0"], assignment={}, reports=[]
         )
-    assert ctx.rng is not None  # the fallback still works, just loudly
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an explicit rng must stay silent
         TuningContext(

@@ -1,4 +1,4 @@
-"""The effect/purity analysis rules (RPL104–106) and the shim rule (RPL011).
+"""The effect/purity analysis rules (RPL104–106).
 
 Bad-fixture projects through :func:`repro.lint.lint_project`, each with a
 clean twin proving the rule converges to zero on correct code, plus
@@ -12,7 +12,6 @@ from repro.lint import lint_project
 from repro.lint.flow.purity import ImpureAmbientRead
 from repro.lint.flow.telemetry_gap import TelemetryGap
 from repro.lint.flow.torn_state import MutateThenRaise
-from repro.lint.rules.shims import ShimImport
 
 
 def ids(findings):
@@ -256,40 +255,4 @@ def test_rpl106_ignores_undecorated_methods_and_caught_raises():
             "            pass\n"
         ),
     }, rules=[MutateThenRaise])
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# RPL011 — shim-module imports
-# ----------------------------------------------------------------------
-def test_rpl011_flags_absolute_relative_and_member_shim_imports():
-    findings = lint_project({
-        "tests/test_x.py": (
-            "from repro.cluster.faults import FaultSchedule\n"
-        ),
-        "src/repro/experiments/r.py": (
-            "from ..cluster.faults import FaultSchedule\n"
-        ),
-        "src/repro/cluster/__init__.py": (
-            "from .faults import FaultSchedule\n"
-        ),
-        "src/repro/other.py": (
-            "import repro.cluster.faults\n"
-            "from repro.cluster import faults\n"
-        ),
-    }, rules=[ShimImport])
-    assert ids(findings) == ["RPL011"] * 5
-    assert all("repro.membership.faults" in f.message for f in findings)
-
-
-def test_rpl011_clean_on_canonical_imports():
-    findings = lint_project({
-        "src/repro/experiments/r.py": (
-            "from ..membership.faults import FaultSchedule\n"
-            "from ..cluster import ClusterSimulation\n"
-        ),
-        "tests/test_x.py": (
-            "from repro.membership.faults import FaultSchedule\n"
-        ),
-    }, rules=[ShimImport])
     assert findings == []

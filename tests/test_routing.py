@@ -29,8 +29,10 @@ from repro.runtime.routing import (
     ROUTER_FACTORIES,
     JSQRouter,
     SingleOwnerRouter,
+    RequestRouter,
     WeightedPowerOfDRouter,
     make_router,
+    pick_owner,
 )
 from repro.runtime.telemetry import CallbackSink
 
@@ -120,6 +122,56 @@ def test_router_validation():
         JSQRouter(d=0)
     with pytest.raises(ValueError):
         WeightedPowerOfDRouter(decay=0.0)
+
+
+# ----------------------------------------------------------------------
+# The shared owner-pick path
+# ----------------------------------------------------------------------
+class _NeverRouter(RequestRouter):
+    """Fails the test if the owner pick consults it."""
+
+    def choose(self, fileset, candidates, queue_len):
+        raise AssertionError(f"router called with {candidates!r}")
+
+
+class _LastRouter(RequestRouter):
+    """Records the candidates it sees and picks the last one."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def choose(self, fileset, candidates, queue_len):
+        self.seen.append(list(candidates))
+        return len(candidates) - 1
+
+
+@pytest.mark.parametrize(
+    "primary, replicas, live, expected, routed",
+    [
+        # r=1: no replicas, the router is never consulted.
+        ("a", (), {"a"}, (0, "a"), None),
+        ("a", (), set(), (0, None), None),
+        # A dead primary keeps the replicas' slot numbers.
+        ("a", ("b", "c"), {"b", "c"}, (2, "c"), ["b", "c"]),
+        # Mid-move, a replica equal to the owner is compacted out, so
+        # "c" is slot 1 of the owner set, not slot 2.
+        ("a", ("a", "c"), {"a", "c"}, (1, "c"), ["a", "c"]),
+        # Every owner down: the request buffers.
+        ("a", ("b", "c"), set(), (0, None), None),
+        # One live owner: no choice to make, so no router call.
+        ("a", ("b", "c"), {"b"}, (1, "b"), None),
+    ],
+    ids=["r1", "r1-dead", "dead-primary", "mid-move", "all-down", "one-live"],
+)
+def test_pick_owner_table(primary, replicas, live, expected, routed):
+    router = _NeverRouter() if routed is None else _LastRouter()
+    picked = pick_owner(
+        router, "fs", primary, replicas, live.__contains__, lambda s: 0
+    )
+    assert picked == expected
+    if routed is not None:
+        assert router.seen == [routed]
 
 
 # ----------------------------------------------------------------------

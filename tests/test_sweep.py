@@ -33,7 +33,7 @@ QUICK = {"n_filesets": 12, "n_requests": 60, "duration": 120.0,
          "tuning_interval": 30.0}
 
 
-def quick_spec(policies=("anu", "random"), seeds=(0, 1, 2)) -> GridSpec:
+def quick_spec(policies=("anu", "simple-random"), seeds=(0, 1, 2)) -> GridSpec:
     return GridSpec(
         axes={"policy": list(policies)}, seeds=list(seeds), base=dict(QUICK)
     )
@@ -52,16 +52,16 @@ def test_cell_id_ignores_param_insertion_order():
 def test_cell_id_distinguishes_seed_and_params():
     base = cell_id_for(7, {"policy": "anu"})
     assert cell_id_for(8, {"policy": "anu"}) != base
-    assert cell_id_for(7, {"policy": "random"}) != base
+    assert cell_id_for(7, {"policy": "simple-random"}) != base
 
 
 def test_plan_is_stable_under_axis_reordering():
     one = GridSpec(
-        axes={"policy": ["anu", "random"], "alpha": [3.0, 4.0]},
+        axes={"policy": ["anu", "simple-random"], "alpha": [3.0, 4.0]},
         seeds=[0, 1],
     ).build_plan()
     two = GridSpec(
-        axes={"alpha": [4.0, 3.0], "policy": ["random", "anu"]},
+        axes={"alpha": [4.0, 3.0], "policy": ["simple-random", "anu"]},
         seeds=[1, 0],
     ).build_plan()
     assert one.digest() == two.digest()
