@@ -45,9 +45,11 @@ def main() -> None:
     populate(sim.cluster, WORKLOAD)
     result = sim.run()
 
-    print(f"\ncompleted: {result.ops_completed}, failed: {result.ops_failed}")
+    print(f"\ncompleted: {result.total_requests - result.ops_failed}, "
+          f"failed: {result.ops_failed}")
     print(f"tuning rounds: {result.tuning_rounds}, "
-          f"file-set images moved over the shared disk: {result.moves}")
+          f"file-set images moved over the shared disk: "
+          f"{result.moves_completed}")
 
     print("\nper-server steady state (last 10 minutes):")
     for server in result.series.servers:

@@ -8,9 +8,9 @@ that grid into a *plan* — cells with content-derived ids, canonically
 ordered — and runs it under a pluggable executor (in-process, a spawn
 ``multiprocessing.Pool``, or ``concurrent.futures``).  Because workers
 share no process state, exchange only plain dicts, and the merge is
-keyed by cell id rather than completion order (properties the
-concurrency sanitizer, lint rules RPL107-110, proves statically), the
-merged JSONL is a pure function of the plan: byte-identical at any
+keyed by cell id rather than completion order (properties CI's
+``sweep-smoke`` job checks by comparing serial and process-pool output
+byte for byte), the merged JSONL is a pure function of the plan: byte-identical at any
 worker count, under any executor, across any interrupt/resume split.
 
 This script runs the same small grid three ways — serially, on a

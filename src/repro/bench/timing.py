@@ -18,10 +18,10 @@ deterministic protocol:
    headline statistic (robust to scheduler noise); min/mean/stddev/max are
    recorded as dispersion.
 
-Timing uses the monotonic performance counter, never the wall clock, so
-the repository's determinism rules (RPL001) are untouched: the measured
-*workloads* remain pure functions of their seeds; only the measurement
-durations vary run to run.
+Timing uses the monotonic performance counter, never the wall clock, and
+never feeds back into what is measured: the measured *workloads* remain
+pure functions of their seeds; only the measurement durations vary run
+to run.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Determinism sanitizer (``repro-dsan``): replay, diff, bisect.
 
-The static rules (RPL104–106) prove properties about the code; this
+``repro-lint`` proves a few structural properties about the code; this
 package checks the property that actually matters at run time — that a
 seeded scenario replays *bit-identically* under perturbations a correct
-harness must not observe (``PYTHONHASHSEED``, GC cadence).  Each run
+harness must not observe (``PYTHONHASHSEED``, GC cadence).  It is the
+repository's check for the usual sources of replay drift: unordered
+``set`` iteration, wall-clock and environment reads, and randomness
+that does not come from the scenario's seeded streams.  Each run
 folds its telemetry stream into a rolling hash chain
 (:class:`~repro.runtime.telemetry.DigestSink`); two chains are bisected to the
 first divergent event, which is reported as a record, not a stack trace.

@@ -8,9 +8,11 @@ arrival prefix and diverge at the first dispatch — a known ground truth
 the end-to-end tests (and the tutorial) use to show ``repro-dsan``
 bisecting to the exact first divergent event.
 
-This is *fixture* code: the unordered iteration is the whole point, so
-the RPL003 suppression below is load-bearing.  Real harness code must
-never need one.
+``repro-dsan`` is the repository's check for unordered iteration: no
+static rule looks for it, because replaying under a perturbed hash seed
+catches it wherever it reaches the telemetry stream.  This fixture is
+that check's self-test — CI requires the planted run to diverge, so a
+sanitizer that has gone blind fails the build.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def run_planted(
                 )
             )
     # The planted bug: placement order leaks set iteration order.
-    for i, name in enumerate(set(filesets)):  # repro-lint: disable=RPL003
+    for i, name in enumerate(set(filesets)):
         if sink.enabled:
             sink.emit(
                 RequestDispatched(

@@ -93,23 +93,12 @@ class FullSystemResult(SimResult):
     """The timed harness's :class:`SimResult`, plus the live namespace.
 
     ``total_requests`` counts operations *served* (including failed
-    executions); the legacy ``ops_completed``/``moves`` accessors keep the
-    old result schema working.
+    executions), so ``total_requests - ops_failed`` executed successfully.
     """
 
     cluster: MetadataCluster | None = None
     ops_failed: int = 0
     failures: list[tuple[Operation, str]] = field(default_factory=list)
-
-    @property
-    def ops_completed(self) -> int:
-        """Operations that executed successfully."""
-        return self.total_requests - self.ops_failed
-
-    @property
-    def moves(self) -> int:
-        """Completed shared-disk image transfers (legacy name)."""
-        return self.moves_completed
 
 
 class FullSystemSimulation:

@@ -6,9 +6,7 @@ whole-program), ``--select`` restricts the run to specific IDs,
 ``--explain RPLxxx`` prints a rule's full docstring, and ``--format``
 switches between human ``text``, machine ``json``, and CI ``sarif``
 output.  Results are cached by content hash in ``.repro-lint-cache/``
-(``--no-cache`` / ``--cache-dir`` to control), and ``--jobs N`` spreads
-the per-file phase over N spawned workers (identical output at any N —
-results merge keyed by path, never by completion order).
+(``--no-cache`` / ``--cache-dir`` to control).
 """
 
 from __future__ import annotations
@@ -49,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="output format (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the per-file phase (default: 1; "
-        "the whole-program phase always runs in-process)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -105,9 +98,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         cache = LintCache(args.cache_dir or DEFAULT_CACHE_DIR)
     try:
-        findings = lint_paths(
-            args.paths, rules=rules, cache=cache, jobs=max(args.jobs, 1)
-        )
+        findings = lint_paths(args.paths, rules=rules, cache=cache)
     except SyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

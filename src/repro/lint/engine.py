@@ -21,9 +21,8 @@ from pathlib import Path, PurePosixPath
 from typing import Iterable, Mapping, Sequence
 
 from . import policy
-from ..sweep.api import clear_process_caches, worker_entry
 from .diagnostics import Diagnostic, SuppressionIndex
-from .rules import REGISTRY, FlowRule, Rule, all_rules
+from .rules import FlowRule, Rule, all_rules
 
 
 @dataclass
@@ -168,83 +167,10 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(seen)
 
 
-def _lint_worker_init() -> None:
-    """Reset process-local caches before a lint worker computes."""
-    clear_process_caches()
-
-
-@worker_entry
-def _lint_file_worker(item: tuple) -> tuple:
-    """Per-file rule pass over one file, run inside a lint worker.
-
-    ``item`` is ``(path, text, rule_ids)`` — plain scalars so the
-    payload pickles under any start method; rule classes are re-looked
-    up from the registry the spawned child rebuilt at import time.
-    Returns ``(path, diagnostics)``.
-    """
-    path, text, rule_ids = item
-    rules = (
-        None
-        if rule_ids is None
-        else [REGISTRY[rule_id] for rule_id in rule_ids]
-    )
-    return path, _lint_context(build_context(path, text), rules)
-
-
-def _registry_ids(file_rules: Sequence[type] | None) -> tuple | None:
-    """Registry IDs for ``file_rules``, or None when they have none.
-
-    Workers rebuild rule classes from :data:`~repro.lint.rules.REGISTRY`
-    by ID; ad-hoc rule classes (test doubles) are not in the registry,
-    so files selecting them must lint in-process.  ``(None,)`` sentinel
-    distinguishes "run everything" from "cannot serialize".
-    """
-    if file_rules is None:
-        return (None,)
-    if any(REGISTRY.get(rule.id) is not rule for rule in file_rules):
-        return None
-    return (tuple(sorted(rule.id for rule in file_rules)),)
-
-
-def _lint_pending(
-    pending: Sequence[tuple],
-    file_rules: Sequence[type] | None,
-    jobs: int,
-    contexts: dict,
-) -> dict[str, list[Diagnostic]]:
-    """Per-file diagnostics for every cache miss, keyed by path.
-
-    With ``jobs > 1`` the files are farmed to a spawn pool; results are
-    keyed by path (not arrival order), so worker count and scheduling
-    cannot affect the merged output.  Falls back to in-process linting
-    when the rule selection cannot be rebuilt from the registry.
-    """
-    results: dict[str, list[Diagnostic]] = {}
-    wrapped = _registry_ids(file_rules)
-    if jobs > 1 and len(pending) > 1 and wrapped is not None:
-        import multiprocessing
-
-        rule_ids = wrapped[0]
-        items = [(path, text, rule_ids) for path, text, _ in pending]
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(jobs, initializer=_lint_worker_init) as pool:
-            for path, diagnostics in pool.imap_unordered(
-                _lint_file_worker, items
-            ):
-                results[path] = diagnostics
-        return results
-    for path, text, _ in pending:
-        file_ctx = build_context(path, text)
-        contexts[path] = file_ctx
-        results[path] = _lint_context(file_ctx, file_rules)
-    return results
-
-
 def lint_paths(
     paths: Iterable[str | Path],
     rules: Sequence[type] | None = None,
     cache=None,
-    jobs: int = 1,
 ) -> list[Diagnostic]:
     """Lint every Python file under ``paths``; returns sorted diagnostics.
 
@@ -252,10 +178,7 @@ def lint_paths(
     rules on the package files among them.  ``cache`` is an optional
     :class:`~repro.lint.flow.cache.LintCache`; hits skip parsing and
     analysis (the flow result is keyed by the hash of *every* package
-    file, so cross-file staleness is impossible).  ``jobs > 1`` spreads
-    the per-file phase over that many spawned worker processes (results
-    are keyed by path, so the output is identical at any worker count);
-    the whole-program phase always runs in-process.
+    file, so cross-file staleness is impossible).
     """
     from .flow import analyze_project
     from .flow.cache import content_hash, project_hash, rules_token
@@ -267,25 +190,22 @@ def lint_paths(
     found: list[Diagnostic] = []
     contexts: dict[str, FileContext] = {}
     package_files: list[tuple[str, str, str]] = []  # (path, source, hash)
-    pending: list[tuple[str, str, str]] = []  # cache-missed (path, text, hash)
     for file in iter_python_files(paths):
         path = str(file)
         text = file.read_text(encoding="utf-8")
         digest = content_hash(text)
-        cached = cache.get_file(digest, token) if cache is not None else None
-        if cached is not None:
-            found.extend(cached)
-        else:
-            pending.append((path, text, digest))
+        diagnostics = (
+            cache.get_file(digest, token) if cache is not None else None
+        )
+        if diagnostics is None:
+            file_ctx = build_context(path, text)
+            contexts[path] = file_ctx
+            diagnostics = _lint_context(file_ctx, file_rules)
+            if cache is not None:
+                cache.put_file(digest, token, diagnostics)
+        found.extend(diagnostics)
         if _package_path(path) is not None:
             package_files.append((path, text, digest))
-
-    per_file = _lint_pending(pending, file_rules, jobs, contexts)
-    for path, _, digest in pending:
-        diagnostics = per_file[path]
-        if cache is not None:
-            cache.put_file(digest, token, diagnostics)
-        found.extend(diagnostics)
 
     run_flow = (flow_rules is None or flow_rules) and package_files
     if run_flow:

@@ -1,23 +1,26 @@
 """Whole-program analysis for ``repro-lint``: the ``flow`` subpackage.
 
-PR 1's rules are per-file AST visitors; the bugs that actually corrupt a
-reproduction are *cross-function*: an RNG stream leaking between classes,
-simulated-seconds flowing into tick arithmetic, or interval/ownership
-state mutated around the contract layer.  This subpackage grows the
-linter into an interprocedural analysis framework:
+Per-file AST visitors cannot see the bugs that cross function
+boundaries: interval/ownership state mutated around the contract layer,
+a telemetry pair split by a raise, a mutator that writes protected state
+and then validates.  This subpackage holds the interprocedural
+framework those rules share:
 
 - :mod:`~repro.lint.flow.symbols` — a project-wide symbol table and
   import resolver (relative imports, ``__init__`` re-exports);
 - :mod:`~repro.lint.flow.callgraph` — a call-graph builder with
   best-effort receiver-type inference; calls it cannot resolve degrade
   to an explicit "unknown" bucket rather than guessed edges;
-- :mod:`~repro.lint.flow.dataflow` — a forward data-flow engine: each
-  analysis collects symbolic *atom* constraints per function and the
-  shared solver expands them to a fixpoint across function boundaries;
-- the three RPL1xx analyses built on top:
-  :mod:`~repro.lint.flow.rng_provenance` (RPL101),
-  :mod:`~repro.lint.flow.units` (RPL102),
-  :mod:`~repro.lint.flow.mutation` (RPL103);
+- :mod:`~repro.lint.flow.dataflow` — a forward data-flow engine that
+  resolves each attribute store's receiver class across function
+  boundaries;
+- :mod:`~repro.lint.flow.effects` — per-function effect summaries
+  (self writes, telemetry emissions, validate-at-head raises) closed
+  over the call graph;
+- the three rules built on top:
+  :mod:`~repro.lint.flow.mutation` (RPL103),
+  :mod:`~repro.lint.flow.telemetry_gap` (RPL105),
+  :mod:`~repro.lint.flow.torn_state` (RPL106);
 - :mod:`~repro.lint.flow.cache` — an on-disk content-hash cache so warm
   full-tree runs skip parsing and analysis entirely.
 

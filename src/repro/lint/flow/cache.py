@@ -26,7 +26,6 @@ import hashlib
 import json
 from pathlib import Path
 
-from ...sweep.api import register_process_cache
 from ..diagnostics import Diagnostic
 
 #: Default cache directory, resolved relative to the working directory.
@@ -35,6 +34,7 @@ DEFAULT_CACHE_DIR = ".repro-lint-cache"
 #: Entries beyond this count are dropped wholesale on save (the cache is
 #: content-addressed, so eviction correctness is trivial).
 MAX_FILE_ENTRIES = 4096
+
 
 def content_hash(data: bytes | str) -> str:
     """sha256 hex digest of file content."""
@@ -52,9 +52,6 @@ def version_token() -> str:
         digest.update(source.name.encode())
         digest.update(source.read_bytes())
     return digest.hexdigest()
-
-
-register_process_cache(version_token.cache_clear)
 
 
 def rules_token(rule_ids) -> str:

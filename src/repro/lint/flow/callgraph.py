@@ -59,10 +59,8 @@ class CallGraph:
         self.functions: dict[str, FunctionNode] = {}
         #: caller qualname -> set of callee qualnames.
         self.edges: dict[str, set[str]] = {}
-        #: callee qualname -> set of caller qualnames.
-        self.callers: dict[str, set[str]] = {}
         self.unknown: list[UnknownCall] = []
-        #: fn qualname -> inferred receiver types (resolve_site memo).
+        #: fn qualname -> inferred receiver types (see :meth:`_local_types`).
         self._types_cache: dict[str, dict[str, str]] = {}
         for module in project.modules.values():
             self._collect_functions(module)
@@ -133,22 +131,26 @@ class CallGraph:
     # Edge construction
     # ------------------------------------------------------------------
     def _collect_edges(self, fn: FunctionNode) -> None:
-        module = self.project.modules[fn.module]
-        types = infer_local_types(self.project, module, fn)
-        # Only walk this function's own statements, not nested defs (those
-        # are separate nodes); ast.walk can't express that, so track depth.
-        for call in iter_own_calls(fn.node):
-            callee = self._resolve_call(module, fn, call, types)
+        # Only walk this function's own calls, not nested defs (those are
+        # separate nodes); ast.walk can't express that, so use a stack.
+        stack = list(ast.iter_child_nodes(fn.node))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if not isinstance(node, ast.Call):
+                continue
+            callee = self.resolve_site(fn, node)
             if callee is not None:
                 self.edges.setdefault(fn.qualname, set()).add(callee)
-                self.callers.setdefault(callee, set()).add(fn.qualname)
             else:
                 self.unknown.append(
                     UnknownCall(
                         caller=fn.qualname,
                         module=fn.module,
-                        line=call.lineno,
-                        text=ast.unparse(call.func)[:60],
+                        line=node.lineno,
+                        text=ast.unparse(node.func)[:60],
                     )
                 )
 
@@ -257,49 +259,64 @@ class CallGraph:
     def resolve_site(self, fn: FunctionNode, call: ast.Call) -> str | None:
         """Resolve one call site inside ``fn`` to a function qualname.
 
-        Same resolution as edge construction, exposed per-site so
-        analyses that care about *statement order* (the effect summaries
-        in :mod:`repro.lint.flow.effects`) can ask about a specific call
-        rather than the order-less edge set.  Local type inference is
-        cached per function.
+        Edge construction goes through here too; it is exposed per-site
+        so analyses that care about *statement order* (the telemetry-gap
+        and torn-state walkers) can ask about a specific call rather
+        than the order-less edge set.
         """
-        module = self.project.modules.get(fn.module)
-        if module is None:
-            return None
-        types = self._types_cache.get(fn.qualname)
-        if types is None:
-            types = infer_local_types(self.project, module, fn)
-            self._types_cache[fn.qualname] = types
-        return self._resolve_call(module, fn, call, types)
+        module = self.project.modules[fn.module]
+        return self._resolve_call(module, fn, call, self._local_types(fn))
 
-    def reachable_from(self, roots: set[str]) -> set[str]:
-        """All functions reachable from ``roots`` (cycle-safe BFS)."""
-        seen = set(roots)
-        frontier = list(roots)
-        while frontier:
-            current = frontier.pop()
-            for callee in self.edges.get(current, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return seen
+    def _local_types(self, fn: FunctionNode) -> dict[str, str]:
+        """Map receiver expressions to project class qualnames in ``fn``.
+
+        Keys are dotted receiver texts (``x``, ``self.cluster``); values
+        are class qualnames.  Covers annotated parameters, ``x =
+        ClassName(...)`` local constructor assignments, and ``self.attr``
+        types pinned by the enclosing class.  Everything else stays
+        unknown.  Cached per function.
+        """
+        types = self._types_cache.get(fn.qualname)
+        if types is not None:
+            return types
+        project = self.project
+        module = project.modules[fn.module]
+        types = {}
+        args = fn.node.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            found = annotation_class(project, module, arg.annotation)
+            if found is not None:
+                types[arg.arg] = found
+        for stmt in ast.walk(fn.node):
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and isinstance(stmt.value, ast.Call)
+            ):
+                chain = dotted_name(stmt.value.func)
+                if not chain:
+                    continue
+                symbol = project.resolve_dotted(module, chain)
+                if symbol is not None and symbol.kind == "class":
+                    types[stmt.targets[0].id] = symbol.qualname
+            elif (
+                isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+            ):
+                found = annotation_class(project, module, stmt.annotation)
+                if found is not None:
+                    types[stmt.target.id] = found
+        if fn.owner is not None:
+            for attr, qual in class_attr_types(project, module, fn.owner).items():
+                types[f"self.{attr}"] = qual
+        self._types_cache[fn.qualname] = types
+        return types
 
 
 # ----------------------------------------------------------------------
 # Shared inference helpers
 # ----------------------------------------------------------------------
-def iter_own_calls(fn: ast.AST):
-    """Call nodes lexically inside ``fn`` but not inside a nested def."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def annotation_class(
     project: Project, module: Module, annotation: ast.expr | None
 ) -> str | None:
@@ -388,45 +405,3 @@ def class_attr_types(
             elif isinstance(stmt.value, ast.Name) and stmt.value.id in params:
                 out[attr] = params[stmt.value.id]
     return out
-
-
-def infer_local_types(
-    project: Project, module: Module, fn: FunctionNode
-) -> dict[str, str]:
-    """Map receiver expressions to project class qualnames inside ``fn``.
-
-    Keys are dotted receiver texts (``x``, ``self.cluster``); values are
-    class qualnames.  Covers annotated parameters, ``x = ClassName(...)``
-    local constructor assignments, and ``self.attr`` types pinned by the
-    enclosing class.  Everything else stays unknown.
-    """
-    types: dict[str, str] = {}
-    args = fn.node.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        found = annotation_class(project, module, arg.annotation)
-        if found is not None:
-            types[arg.arg] = found
-    for stmt in ast.walk(fn.node):
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)
-        ):
-            chain = dotted_name(stmt.value.func)
-            if not chain:
-                continue
-            symbol = project.resolve_dotted(module, chain)
-            if symbol is not None and symbol.kind == "class":
-                types[stmt.targets[0].id] = symbol.qualname
-        elif (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-        ):
-            found = annotation_class(project, module, stmt.annotation)
-            if found is not None:
-                types[stmt.target.id] = found
-    if fn.owner is not None:
-        for attr, qual in class_attr_types(project, module, fn.owner).items():
-            types[f"self.{attr}"] = qual
-    return types

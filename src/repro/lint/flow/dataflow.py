@@ -1,13 +1,15 @@
-"""Forward data-flow engine shared by the RPL1xx analyses.
+"""Forward data-flow engine behind RPL103 (contract-bypassing writes).
 
-The engine is a two-phase, context-insensitive, whole-program analysis:
+The engine is a two-phase, context-insensitive, whole-program analysis
+that answers one question: which project class does the receiver of each
+attribute store hold?
 
 1. **Collection.**  Every function body is walked once (statement order,
    loop bodies twice for loop-carried values) by a
    :class:`SymbolicEvaluator`.  Expressions evaluate to sets of *atoms*
-   — terminal facts (``stream``/``unit``/``instance``/...) and symbolic
-   placeholders (``param``/``ret``/``attr``) whose meaning depends on
-   other functions.  Each call site binds argument atoms onto the
+   — terminal ``instance`` facts and symbolic placeholders
+   (``param``/``ret``/``attr``) whose meaning depends on other
+   functions.  Each call site binds argument atoms onto the
    callee's ``param`` atoms, each ``return`` feeds the function's
    ``ret`` atom, and each attribute store feeds a ``(class, attr)``
    atom: the interprocedural equations.  Module globals and class-body
@@ -17,9 +19,8 @@ The engine is a two-phase, context-insensitive, whole-program analysis:
    graph simply converge).  Attribute stores whose *receiver* was itself
    symbolic (``self.cluster._ownership = ...``) are recorded as pending
    :class:`Store` sites and folded in by :func:`finalize` once the
-   receiver resolves.  Analyses then re-inspect their recorded sites
-   (sampling calls, arithmetic nodes, writes) with fully resolved values
-   and emit diagnostics.
+   receiver resolves.  The rule then re-inspects the recorded stores
+   with fully resolved receivers and emits diagnostics.
 
 All checks are *positive evidence only*: an unresolved value is an empty
 set, and an empty set never fires a rule — dynamic calls degrade to
@@ -30,15 +31,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..rules import dotted_name
 from .symbols import ClassInfo, Module, Project
-
-#: Atom kinds that are facts (everything else is a placeholder to solve).
-TERMINAL_KINDS = frozenset(
-    {"stream", "rawgen", "factory", "unit", "instance", "container"}
-)
 
 
 @dataclass(frozen=True)
@@ -76,16 +72,6 @@ def instance(class_qualname: str) -> Atom:
     return Atom("instance", (class_qualname,))
 
 
-def unit(name: str) -> Atom:
-    """Terminal: a value measured in ``"sec"`` or ``"tick"``."""
-    return Atom("unit", (name,))
-
-
-def container(unit_name: str) -> Atom:
-    """Terminal: a container whose elements are measured in a unit."""
-    return Atom("container", (unit_name,))
-
-
 @dataclass(frozen=True)
 class Store:
     """One attribute-write site, kept for post-solve re-examination."""
@@ -121,14 +107,14 @@ class Lattice:
         """Expand every placeholder to terminals (monotone fixpoint)."""
         expanded: dict[Atom, set[Atom]] = {}
         for target, values in self.defs.items():
-            expanded[target] = {v for v in values if v.kind in TERMINAL_KINDS}
+            expanded[target] = {v for v in values if v.kind == "instance"}
         for _ in range(max_passes):
             changed = False
             for target, values in self.defs.items():
                 bucket = expanded[target]
                 before = len(bucket)
                 for value in values:
-                    if value.kind not in TERMINAL_KINDS:
+                    if value.kind != "instance":
                         bucket |= expanded.get(value, set())
                 if len(bucket) != before:
                     changed = True
@@ -143,7 +129,7 @@ class Lattice:
         assert self._expanded is not None
         out: set[Atom] = set()
         for atom in atoms:
-            if atom.kind in TERMINAL_KINDS:
+            if atom.kind == "instance":
                 out.add(atom)
             else:
                 out |= self._expanded.get(atom, frozenset())
@@ -184,10 +170,6 @@ def finalize(lattice: Lattice, max_rounds: int = 3) -> None:
 
 class SymbolicEvaluator:
     """Walks one function, producing atom sets and lattice constraints.
-
-    Subclasses specialize expression semantics through the hooks at the
-    bottom; the base class owns statement traversal, environments,
-    assignment targets, call/argument binding, and receiver resolution.
 
     Three scopes share the class: function bodies (``fn`` set), class
     bodies (``fn`` None, ``owner`` set — ``Name`` targets become field
@@ -266,12 +248,10 @@ class SymbolicEvaluator:
                 current = self.env.get(stmt.target.id, set())
             else:
                 current = self.eval(stmt.target)
-            self.on_augassign(stmt, current, value)
             self.assign(stmt.target, current | value, stmt, merge=True)
         elif isinstance(stmt, ast.Return):
             atoms = self.eval(stmt.value) if stmt.value is not None else set()
             self.lattice.add(ret(self.qualname), atoms)
-            self.on_return(stmt, atoms)
         elif isinstance(stmt, ast.Expr):
             self.eval(stmt.value)
         elif isinstance(stmt, ast.If):
@@ -279,11 +259,10 @@ class SymbolicEvaluator:
             self.exec_block(stmt.body)
             self.exec_block(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_atoms = self.eval(stmt.iter)
-            element = self.eval_iter_element(iter_atoms)
+            self.eval(stmt.iter)
             # Two passes: loop-carried values reach their own reads.
             for _ in range(2):
-                self.assign(stmt.target, set(element), stmt, merge=True)
+                self.assign(stmt.target, set(), stmt, merge=True)
                 self.exec_block(stmt.body)
             self.exec_block(stmt.orelse)
         elif isinstance(stmt, ast.While):
@@ -309,7 +288,7 @@ class SymbolicEvaluator:
                     self.eval(child)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                self.on_delete(target, stmt)
+                self._delete(target)
         # Nested defs/classes are separate walkers; pass/imports are inert.
 
     # ------------------------------------------------------------------
@@ -396,18 +375,13 @@ class SymbolicEvaluator:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return set(self.env[node.id])
-            return self.eval_global_name(node)
+            return self._global_name(node)
         if isinstance(node, ast.Attribute):
-            recv = self.eval(node.value)
-            return self.eval_attribute(node, recv)
+            return self._attribute(node, self.eval(node.value))
         if isinstance(node, ast.Call):
             return self.eval_call(node)
-        if isinstance(node, ast.Constant):
-            return self.eval_constant(node)
         if isinstance(node, ast.BinOp):
-            left = self.eval(node.left)
-            right = self.eval(node.right)
-            return self.eval_binop(node, left, right)
+            return self.eval(node.left) | self.eval(node.right)
         if isinstance(node, ast.UnaryOp):
             return self.eval(node.operand)
         if isinstance(node, ast.BoolOp):
@@ -416,9 +390,9 @@ class SymbolicEvaluator:
                 out |= self.eval(value)
             return out
         if isinstance(node, ast.Compare):
-            left = self.eval(node.left)
-            rights = [self.eval(comp) for comp in node.comparators]
-            self.on_compare(node, left, rights)
+            self.eval(node.left)
+            for comp in node.comparators:
+                self.eval(comp)
             return set()
         if isinstance(node, ast.IfExp):
             self.eval(node.test)
@@ -426,12 +400,12 @@ class SymbolicEvaluator:
         if isinstance(node, ast.Subscript):
             base = self.eval(node.value)
             self.eval(node.slice)
-            return self.eval_subscript(node, base)
+            return base
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             out = set()
             for element in node.elts:
                 out |= self.eval(element)
-            return self.wrap_elements(out)
+            return out
         if isinstance(node, ast.Dict):
             out = set()
             for key in node.keys:
@@ -439,21 +413,19 @@ class SymbolicEvaluator:
                     self.eval(key)
             for value in node.values:
                 out |= self.eval(value)
-            return self.wrap_elements(out)
+            return out
         if isinstance(
             node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
         ):
             for comp in node.generators:
-                iter_atoms = self.eval(comp.iter)
-                self.assign(comp.target, self.eval_iter_element(iter_atoms), node)
+                self.eval(comp.iter)
+                self.assign(comp.target, set(), node)
                 for condition in comp.ifs:
                     self.eval(condition)
             if isinstance(node, ast.DictComp):
                 self.eval(node.key)
-                out = self.eval(node.value)
-            else:
-                out = self.eval(node.elt)
-            return self.wrap_elements(out)
+                return self.eval(node.value)
+            return self.eval(node.elt)
         if isinstance(node, ast.Lambda):
             return set()
         if isinstance(node, (ast.JoinedStr, ast.FormattedValue)):
@@ -492,9 +464,9 @@ class SymbolicEvaluator:
         for kw in node.keywords:
             if kw.arg is None:
                 self.eval(kw.value)
-        return self.apply_call(node, chain, recv_atoms, arg_atoms, kwarg_atoms)
+        return self._apply_call(node, chain, recv_atoms, arg_atoms, kwarg_atoms)
 
-    def apply_call(
+    def _apply_call(
         self,
         node: ast.Call,
         chain: tuple[str, ...],
@@ -503,9 +475,6 @@ class SymbolicEvaluator:
         kwargs: dict[str, set[Atom]],
     ) -> set[Atom]:
         """Resolve the callee, bind arguments, and produce result atoms."""
-        special = self.special_call(node, chain, recv_atoms, args, kwargs)
-        if special is not None:
-            return special
         # dataclasses.field(...): the default/default_factory IS the value.
         if chain and chain[-1] == "field":
             for kw in node.keywords:
@@ -527,21 +496,21 @@ class SymbolicEvaluator:
                 method = self._find_method(info, node.func.attr)
                 if method is not None:
                     method_qual, method_node = method
-                    self._bind(node, method_qual, method_node, args, kwargs, 1)
-                    return self.call_result(node, method_qual, method_node)
+                    self._bind(method_qual, method_node, args, kwargs, 1)
+                    return {ret(method_qual)}
         # Plain/dotted resolution through the symbol tables.
         if chain:
             symbol = self.project.resolve_dotted(self.module, chain)
             if symbol is not None and symbol.kind == "function":
                 fn_node = symbol.node
                 if isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._bind(node, symbol.qualname, fn_node, args, kwargs, 0)
-                    return self.call_result(node, symbol.qualname, fn_node)
+                    self._bind(symbol.qualname, fn_node, args, kwargs, 0)
+                    return {ret(symbol.qualname)}
             if symbol is not None and symbol.kind == "class":
-                return self.construct(node, symbol.qualname, args, kwargs)
-        return self.unknown_call(node, chain, recv_atoms, args, kwargs)
+                return self._construct(node, symbol.qualname, args, kwargs)
+        return set()
 
-    def construct(
+    def _construct(
         self,
         node: ast.Call,
         class_qualname: str,
@@ -554,7 +523,7 @@ class SymbolicEvaluator:
             return set()
         if info.has_explicit_init:
             init = info.methods["__init__"]
-            self._bind(node, f"{class_qualname}.__init__", init, args, kwargs, 1)
+            self._bind(f"{class_qualname}.__init__", init, args, kwargs, 1)
         else:
             # Dataclass-style: positional and keyword args are field binds.
             owner = {instance(class_qualname)}
@@ -566,12 +535,10 @@ class SymbolicEvaluator:
             for name, atoms in kwargs.items():
                 if name in info.fields:
                     self.store_attr(owner, name, atoms, node, is_ctor=True)
-        self.on_construct(node, class_qualname, args, kwargs)
         return {instance(class_qualname)}
 
     def _bind(
         self,
-        node: ast.Call,
         qualname: str,
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
         args: list[set[Atom]],
@@ -589,7 +556,6 @@ class SymbolicEvaluator:
                 self.lattice.add(param(qualname, params.index(name)), atoms)
             elif name in kwonly:
                 self.lattice.add(param(qualname, f"kw:{name}"), atoms)
-        self.on_bound_call(node, qualname, fn, args, kwargs, offset)
 
     def _find_method(
         self, info: ClassInfo, name: str, _depth: int = 0
@@ -617,7 +583,7 @@ class SymbolicEvaluator:
         return None
 
     # ------------------------------------------------------------------
-    # Hooks (specialized per analysis)
+    # Helpers
     # ------------------------------------------------------------------
     def seed_annotation(self, annotation: ast.expr | None) -> set[Atom]:
         """Atoms implied by a parameter/variable annotation."""
@@ -628,7 +594,7 @@ class SymbolicEvaluator:
             return {instance(found)}
         return set()
 
-    def eval_global_name(self, node: ast.Name) -> set[Atom]:
+    def _global_name(self, node: ast.Name) -> set[Atom]:
         """A name not bound locally: module global / import / builtin."""
         symbol = self.project.resolve_local(self.module, node.id)
         if symbol is not None and symbol.kind == "value":
@@ -636,7 +602,7 @@ class SymbolicEvaluator:
             return {attr(symbol.module, symbol.qualname.rsplit(".", 1)[1])}
         return set()
 
-    def eval_attribute(self, node: ast.Attribute, recv: set[Atom]) -> set[Atom]:
+    def _attribute(self, node: ast.Attribute, recv: set[Atom]) -> set[Atom]:
         """Atoms read through ``recv.attr`` (instance attr channels)."""
         out: set[Atom] = set()
         for atom in recv:
@@ -651,93 +617,7 @@ class SymbolicEvaluator:
                 out.add(attr(atom.key[0], node.attr))
         return out
 
-    def eval_constant(self, node: ast.Constant) -> set[Atom]:
-        """Atoms of a literal (none, by default)."""
-        return set()
-
-    def eval_binop(
-        self, node: ast.BinOp, left: set[Atom], right: set[Atom]
-    ) -> set[Atom]:
-        """Atoms of ``left <op> right`` (union by default)."""
-        return left | right
-
-    def eval_subscript(self, node: ast.Subscript, base: set[Atom]) -> set[Atom]:
-        """Atoms of ``base[...]`` (containers pass through by default)."""
-        return base
-
-    def eval_iter_element(self, iter_atoms: set[Atom]) -> set[Atom]:
-        """Atoms of one element drawn from an iterable (none by default)."""
-        return set()
-
-    def wrap_elements(self, atoms: set[Atom]) -> set[Atom]:
-        """Atoms for a container literal holding ``atoms``."""
-        return atoms
-
-    def call_result(
-        self,
-        node: ast.Call,
-        qualname: str,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> set[Atom]:
-        """Atoms returned by a resolved project function call."""
-        return {ret(qualname)}
-
-    def special_call(
-        self,
-        node: ast.Call,
-        chain: tuple[str, ...],
-        recv_atoms: set[Atom],
-        args: list[set[Atom]],
-        kwargs: dict[str, set[Atom]],
-    ) -> set[Atom] | None:
-        """First-chance hook; return None to fall through to resolution."""
-        return None
-
-    def unknown_call(
-        self,
-        node: ast.Call,
-        chain: tuple[str, ...],
-        recv_atoms: set[Atom],
-        args: list[set[Atom]],
-        kwargs: dict[str, set[Atom]],
-    ) -> set[Atom]:
-        """Atoms of a call that resolves to nothing (none by default)."""
-        return set()
-
-    def on_construct(
-        self,
-        node: ast.Call,
-        class_qualname: str,
-        args: list[set[Atom]],
-        kwargs: dict[str, set[Atom]],
-    ) -> None:
-        """A project-class constructor call was evaluated."""
-
-    def on_bound_call(
-        self,
-        node: ast.Call,
-        qualname: str,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        args: list[set[Atom]],
-        kwargs: dict[str, set[Atom]],
-        offset: int,
-    ) -> None:
-        """Arguments were bound onto a resolved project function."""
-
-    def on_return(self, node: ast.Return, atoms: set[Atom]) -> None:
-        """A return statement was evaluated."""
-
-    def on_compare(
-        self, node: ast.Compare, left: set[Atom], rights: list[set[Atom]]
-    ) -> None:
-        """A comparison was evaluated."""
-
-    def on_augassign(
-        self, node: ast.AugAssign, target: set[Atom], value: set[Atom]
-    ) -> None:
-        """An augmented assignment was evaluated."""
-
-    def on_delete(self, target: ast.expr, stmt: ast.Delete) -> None:
+    def _delete(self, target: ast.expr) -> None:
         """``del`` treated as a write of nothing (it mutates the owner)."""
         if isinstance(target, ast.Attribute):
             self.store_attr(self.eval(target.value), target.attr, set(), target)
@@ -756,18 +636,17 @@ def _is_property(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def run_evaluators(
-    project: Project,
-    make: Callable[..., SymbolicEvaluator],
-) -> None:
+def run_evaluators(project: Project, lattice: Lattice) -> None:
     """Drive one evaluator per scope over the whole project.
 
-    ``make(module, qualname, fn, owner)`` builds the analysis-specific
-    evaluator.  Module bodies and class bodies run with ``fn=None``
-    (their ``Name`` assignments feed the global/field attr channels);
-    functions and methods run normally, including defs nested inside
-    them (as ``...<locals>.name`` scopes with an empty environment).
+    Module bodies and class bodies run with ``fn=None`` (their ``Name``
+    assignments feed the global/field attr channels); functions and
+    methods run normally, including defs nested inside them (as
+    ``...<locals>.name`` scopes with an empty environment).
     """
+
+    def make(module, qualname, fn, owner):
+        return SymbolicEvaluator(project, lattice, module, qualname, fn, owner)
 
     def run_function(module, qualname, fn, owner):
         make(module, qualname, fn, owner).run()

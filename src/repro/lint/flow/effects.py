@@ -1,19 +1,13 @@
-"""Interprocedural effect-and-purity summaries over the call graph.
+"""Interprocedural effect summaries over the call graph.
 
-The determinism story of this repository rests on every seeded run being
-a pure function of ``(scenario, seed)``.  The per-file rules catch the
-obvious impurities (RPL001 wall clock, RPL002 ad-hoc RNGs, RPL003 set
-iteration), but cross-function effects — a helper three calls below
-``Scenario.run_cluster`` quietly reading ``os.environ``, a mutator that
-tears contract state on its exception path, a fault driver that emits
-half of a paired telemetry protocol before raising — need a *summary* of
-what each function does that composes across the call graph.
+Some bugs live between functions: a mutator that tears contract state
+on its exception path through a helper it calls, a fault driver that
+emits half of a paired telemetry protocol before raising.  Finding them
+needs a *summary* of what each function does that composes across the
+call graph.
 
 This module computes one :class:`EffectSummary` per function:
 
-- **ambient reads** — ``os.environ``, wall-clock calls, global-RNG
-  draws, and reads of module-level globals that some function mutates
-  (``global`` statement); each with its source location;
 - **self writes** — attributes the function stores on ``self``
   (including subscript stores, augmented assigns, and ``del``);
 - **emissions** — ``sink.emit(Record(...))`` sites whose argument
@@ -21,17 +15,13 @@ This module computes one :class:`EffectSummary` per function:
   subclass, in source order;
 - **head raise** — whether the function validates-then-raises before
   performing any effect (the shape of a guard like
-  ``MembershipRoster.commission``);
-- **unordered iterations** — loops over expressions that are statically
-  sets, whose iteration order escapes into whatever the loop does.
+  ``MembershipRoster.commission``).
 
-Summaries are then propagated over :class:`~repro.lint.flow.callgraph.
-CallGraph` edges to a fixpoint: ``all_reads`` closes ambient reads over
-every resolvable callee, and ``all_self_writes`` closes self-attribute
-writes over *intra-class* calls (``self.repartition()`` inside
-``add_server`` writes whatever ``repartition`` writes).  The three
-consuming rules are :mod:`~repro.lint.flow.purity` (RPL104),
-:mod:`~repro.lint.flow.telemetry_gap` (RPL105), and
+Self writes are then propagated over *intra-class*
+:class:`~repro.lint.flow.callgraph.CallGraph` edges to a fixpoint:
+``all_self_writes`` of ``add_server`` includes whatever the
+``self.repartition()`` it calls writes.  The two consuming rules are
+:mod:`~repro.lint.flow.telemetry_gap` (RPL105) and
 :mod:`~repro.lint.flow.torn_state` (RPL106); one analysis instance is
 shared per project so the linter builds the graph once.
 
@@ -50,29 +40,6 @@ from ..rules import dotted_name
 from .callgraph import CallGraph, FunctionNode
 from .symbols import ClassInfo, Module, Project
 
-#: Fully qualified callables that read the wall clock.
-WALL_CLOCK = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-#: Module prefixes whose draws use interpreter-global RNG state.
-GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.")
-
-
-@dataclass(frozen=True, order=True)
-class AmbientRead:
-    """One read of process-ambient state inside a function body."""
-
-    kind: str    #: ``environ`` / ``wall-clock`` / ``global-rng`` / ``mutable-global``
-    detail: str  #: what was read, e.g. ``os.environ`` or ``repro.x._cache``
-    path: str
-    line: int
-    col: int
-
-
 @dataclass(frozen=True)
 class EmissionSite:
     """One ``<sink>.emit(Record(...))`` call with a resolved record type."""
@@ -87,19 +54,13 @@ class EffectSummary:
     """What one function does to the world, directly and transitively."""
 
     qualname: str
-    #: Direct ambient reads, in source order.
-    reads: tuple[AmbientRead, ...] = ()
     #: Attributes this function writes on ``self`` (direct stores only).
     self_writes: frozenset = frozenset()
     #: Resolved telemetry emissions, in source order.
     emissions: tuple[EmissionSite, ...] = ()
-    #: ``for``/comprehension loops over statically-set expressions.
-    unordered_iters: tuple[tuple[int, int], ...] = ()
     #: The function raises (a non-``AssertionError``) before any effect —
     #: the validate-at-head shape of a guard method.
     head_raise: bool = False
-    #: Fixpoint: ambient reads of this function and every resolvable callee.
-    all_reads: frozenset = field(default_factory=frozenset)
     #: Fixpoint: self writes closed over intra-class ``self.m()`` calls.
     all_self_writes: frozenset = field(default_factory=frozenset)
 
@@ -214,19 +175,6 @@ def iter_emissions(project: Project, module: Module, node: ast.AST):
         stack.extend(ast.iter_child_nodes(current))
 
 
-def is_set_expression(node: ast.expr) -> bool:
-    """Whether an expression is statically an unordered ``set``."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
-    ):
-        return is_set_expression(node.left) or is_set_expression(node.right)
-    return False
-
-
 def iter_own_statements(stmts):
     """Pre-order walk over statements, not descending into nested defs."""
     for stmt in stmts:
@@ -256,37 +204,22 @@ class EffectAnalysis:
     def __init__(self, project: Project) -> None:
         self.project = project
         self.graph = CallGraph(project)
-        #: ``module.name`` -> True for module-level globals some function
-        #: mutates (via a ``global`` statement).
-        self.mutated_globals = self._collect_mutated_globals()
         self.summaries: dict[str, EffectSummary] = {}
         for qualname, fn in self.graph.functions.items():
             self.summaries[qualname] = self._summarize(fn)
         self._propagate()
 
     # ------------------------------------------------------------------
-    def _collect_mutated_globals(self) -> frozenset:
-        mutated: set[str] = set()
-        for fn in self.graph.functions.values():
-            for node in ast.walk(fn.node):
-                if isinstance(node, ast.Global):
-                    for name in node.names:
-                        mutated.add(f"{fn.module}.{name}")
-        return frozenset(mutated)
-
-    # ------------------------------------------------------------------
     def _summarize(self, fn: FunctionNode) -> EffectSummary:
         module = self.project.modules[fn.module]
-        scanner = _FunctionScanner(self, module, fn)
+        scanner = _FunctionScanner(self.project, module, fn)
         scanner.scan()
         return EffectSummary(
             qualname=fn.qualname,
-            reads=tuple(sorted(set(scanner.reads))),
             self_writes=frozenset(scanner.self_writes),
             emissions=tuple(
                 sorted(scanner.emissions, key=lambda e: (e.line, e.col))
             ),
-            unordered_iters=tuple(sorted(set(scanner.unordered_iters))),
             head_raise=self._head_raise(fn),
         )
 
@@ -317,33 +250,27 @@ class EffectAnalysis:
 
     # ------------------------------------------------------------------
     def _propagate(self) -> None:
-        """Close summaries over call edges, to a fixpoint.
+        """Close self writes over intra-class call edges, to a fixpoint.
 
-        ``all_reads`` flows along every resolved edge; ``all_self_writes``
-        only along intra-class edges (a cross-class call mutates a
-        different object's state, not this receiver's).
+        A cross-class call mutates a different object's state, not this
+        receiver's, so only edges between methods of one class count.
         """
-        reads = {q: set(s.reads) for q, s in self.summaries.items()}
         writes = {q: set(s.self_writes) for q, s in self.summaries.items()}
         changed = True
         while changed:
             changed = False
             for caller, callees in self.graph.edges.items():
-                if caller not in reads:
+                if caller not in writes:
                     continue
                 for callee in callees:
-                    if callee not in reads:
+                    if callee not in writes:
                         continue
-                    if not reads[caller] >= reads[callee]:
-                        reads[caller] |= reads[callee]
-                        changed = True
                     if self._intra_class(caller, callee) and not (
                         writes[caller] >= writes[callee]
                     ):
                         writes[caller] |= writes[callee]
                         changed = True
         for qualname, summary in self.summaries.items():
-            summary.all_reads = frozenset(reads[qualname])
             summary.all_self_writes = frozenset(writes[qualname])
 
     def _intra_class(self, caller: str, callee: str) -> bool:
@@ -356,16 +283,13 @@ class _FunctionScanner(ast.NodeVisitor):
     """Collects one function's direct effects (nested defs excluded)."""
 
     def __init__(
-        self, analysis: EffectAnalysis, module: Module, fn: FunctionNode
+        self, project: Project, module: Module, fn: FunctionNode
     ) -> None:
-        self.analysis = analysis
-        self.project = analysis.project
+        self.project = project
         self.module = module
         self.fn = fn
-        self.reads: list[AmbientRead] = []
         self.self_writes: list[str] = []
         self.emissions: list[EmissionSite] = []
-        self.unordered_iters: list[tuple[int, int]] = []
 
     def scan(self) -> None:
         for stmt in self.fn.node.body:
@@ -377,48 +301,8 @@ class _FunctionScanner(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
-    # -- ambient reads -------------------------------------------------
-    def _read(self, kind: str, detail: str, node: ast.AST) -> None:
-        self.reads.append(
-            AmbientRead(
-                kind=kind,
-                detail=detail,
-                path=self.module.ctx.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-            )
-        )
-
-    def _ambient_chain(self, chain: tuple[str, ...], node: ast.AST) -> bool:
-        """Classify a dotted load; True when it was consumed as a read."""
-        qualified = self.project.qualify_chain(self.module, chain)
-        if qualified is None:
-            return False
-        if qualified == "os.environ" or qualified.startswith("os.environ."):
-            self._read("environ", "os.environ", node)
-            return True
-        symbol = self.project.resolve_dotted(self.module, chain)
-        if (
-            symbol is not None
-            and symbol.kind == "value"
-            and symbol.qualname in self.analysis.mutated_globals
-        ):
-            self._read("mutable-global", symbol.qualname, node)
-            return True
-        return False
-
+    # -- emissions -----------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        chain = dotted_name(node.func)
-        if chain:
-            qualified = self.project.qualify_chain(self.module, chain)
-            if qualified in WALL_CLOCK:
-                self._read("wall-clock", qualified, node)
-            elif qualified == "os.getenv":
-                self._read("environ", "os.getenv", node)
-            elif qualified is not None and qualified.startswith(
-                GLOBAL_RNG_PREFIXES
-            ):
-                self._read("global-rng", qualified, node)
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "emit"
@@ -434,16 +318,6 @@ class _FunctionScanner(ast.NodeVisitor):
                     )
                 )
         self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        chain = dotted_name(node)
-        if chain and self._ambient_chain(chain, node):
-            return  # consumed the whole chain; don't re-visit its parts
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self._ambient_chain((node.id,), node)
 
     # -- self writes ---------------------------------------------------
     def _note_writes(self, targets) -> None:
@@ -468,22 +342,9 @@ class _FunctionScanner(ast.NodeVisitor):
         self._note_writes(node.targets)
         self.generic_visit(node)
 
-    # -- unordered iteration -------------------------------------------
-    def visit_For(self, node: ast.For) -> None:
-        if is_set_expression(node.iter):
-            self.unordered_iters.append((node.lineno, node.col_offset))
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        if is_set_expression(node.iter):
-            self.unordered_iters.append(
-                (node.iter.lineno, node.iter.col_offset)
-            )
-        self.generic_visit(node)
-
 
 # ----------------------------------------------------------------------
-# One analysis per project (the three consuming rules share it)
+# One analysis per project (the two consuming rules share it)
 # ----------------------------------------------------------------------
 _ANALYSES: "weakref.WeakKeyDictionary[Project, EffectAnalysis]" = (
     weakref.WeakKeyDictionary()

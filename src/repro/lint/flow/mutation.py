@@ -31,7 +31,7 @@ import ast
 from ..diagnostics import Diagnostic
 from ..rules import FlowRule, register
 from .callgraph import CallGraph
-from .dataflow import Lattice, SymbolicEvaluator, finalize, run_evaluators
+from .dataflow import Lattice, finalize, run_evaluators
 from .symbols import ClassInfo, Project
 
 #: Validator method names that define a class's protected state.
@@ -149,12 +149,7 @@ class ContractBypass(FlowRule):
             for qualname in protected
         }
         lattice = Lattice()
-        run_evaluators(
-            self.project,
-            lambda module, qualname, fn, owner: SymbolicEvaluator(
-                self.project, lattice, module, qualname, fn, owner
-            ),
-        )
+        run_evaluators(self.project, lattice)
         finalize(lattice)
         seen: set[tuple] = set()
         for store in lattice.stores:

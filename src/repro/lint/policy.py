@@ -2,7 +2,7 @@
 
 Rules carry their *semantic* scope themselves (``applies_to`` — e.g.
 RPL006 only makes sense in ``repro.core``, and ``sim/rng.py`` is exempt
-from the RNG rules by design).  This module holds the *organizational*
+from the RNG rule by design).  This module holds the *organizational*
 scope: which repository trees opt out of which rules, in one documented
 table instead of scattered conditionals.
 
@@ -12,10 +12,10 @@ Exclusion rationale
     Production code gets every rule.
 ``examples``
     Examples are documentation that executes — they model the determinism
-    discipline (RPL001/RPL002 apply) and get the full rule set.
+    discipline (RPL002 applies) and get the full rule set.
 ``tests`` / ``benchmarks``
-    - RPL001/RPL002: test harnesses and benchmarks legitimately use the
-      wall clock (timing) and ad-hoc RNGs (fixture noise).
+    - RPL002: test harnesses and benchmarks legitimately seed ad-hoc
+      RNGs (fixture noise).
     - RPL004: tests assert exact floats on purpose (determinism checks).
     - RPL009: fixtures occasionally use module-level state.
 ``other``
@@ -31,7 +31,7 @@ from __future__ import annotations
 from pathlib import PurePosixPath
 
 #: Rules that presume production-code discipline.
-_PRODUCTION_ONLY = frozenset({"RPL001", "RPL002", "RPL004", "RPL009"})
+_PRODUCTION_ONLY = frozenset({"RPL002", "RPL004", "RPL009"})
 
 #: tree name -> rule IDs excluded in that tree.  Keep the docstring's
 #: rationale section in sync when editing.

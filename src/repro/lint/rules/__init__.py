@@ -7,9 +7,7 @@ protects and why, and an autofix ``hint``.  Rules register themselves via
 
 Rule catalogue
 --------------
-- ``RPL001`` — wall-clock/global-RNG calls in production code
 - ``RPL002`` — ``np.random`` used outside ``repro.sim.rng``
-- ``RPL003`` — iteration over unordered set expressions
 - ``RPL004`` — exact float equality on computed values
 - ``RPL005`` — ``int(a / b)`` instead of floor division
 - ``RPL006`` — ``float()`` cast on tick quantities in ``repro.core``
@@ -19,20 +17,15 @@ Rule catalogue
 
 Interprocedural (flow) rules — see :mod:`repro.lint.flow`:
 
-- ``RPL101`` — RNG-stream provenance across function/class boundaries
-- ``RPL102`` — ticks/seconds unit consistency across calls and returns
 - ``RPL103`` — mutation of contract-protected state outside mutators
-- ``RPL104`` — ambient state read reachable from a seeded entry point
 - ``RPL105`` — telemetry pair split by an exception path
 - ``RPL106`` — protected state written before a reachable raise
 
-Concurrency-safety (flow) rules — the csan layer guarding
-:mod:`repro.sweep` and every future parallel subsystem:
-
-- ``RPL107`` — fork-divergent state reachable from a worker entry
-- ``RPL108`` — unpicklable value crossing a process boundary
-- ``RPL109`` — completion-order-dependent reduce over worker results
-- ``RPL110`` — worker randomness not derived from the per-cell seed
+Determinism itself is guarded at runtime, not here: the golden replays,
+``repro-dsan`` (hash-seed and GC perturbation), and the serial-vs-process
+comparison of sweep merges catch wall-clock reads, unordered iteration,
+RNG-stream leaks, unit mix-ups, and worker-order dependence by replaying
+them.  The rules above cover what no replay check backs up.
 """
 
 from __future__ import annotations
@@ -77,7 +70,7 @@ def all_flow_rules() -> list[type["FlowRule"]]:
 class Rule(ast.NodeVisitor):
     """Base class for lint rules: a visitor that accumulates diagnostics."""
 
-    #: Stable rule identifier, e.g. ``"RPL001"``.
+    #: Stable rule identifier, e.g. ``"RPL002"``.
     id: str = ""
     #: One-line summary shown by ``repro-lint --list-rules``.
     title: str = ""
@@ -118,7 +111,7 @@ class FlowRule:
     in :mod:`repro.lint.flow.dataflow` however it needs to.
     """
 
-    #: Stable rule identifier, e.g. ``"RPL101"``.
+    #: Stable rule identifier, e.g. ``"RPL103"``.
     id: str = ""
     #: One-line summary shown by ``repro-lint --list-rules``.
     title: str = ""
@@ -168,15 +161,4 @@ def dotted_name(node: ast.AST) -> tuple[str, ...]:
 # modules import back into this package (FlowRule, dotted_name), which is
 # safe because everything they need is defined above this line.
 from . import arithmetic, determinism, hygiene  # noqa: E402,F401
-from ..flow import (  # noqa: E402,F401
-    fork_state,
-    mutation,
-    pickle_safety,
-    purity,
-    reduce_order,
-    rng_provenance,
-    rng_split,
-    telemetry_gap,
-    torn_state,
-    units,
-)
+from ..flow import mutation, telemetry_gap, torn_state  # noqa: E402,F401

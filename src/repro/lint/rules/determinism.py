@@ -1,11 +1,12 @@
-"""Determinism rules: all randomness flows from named, seeded streams.
+"""Determinism rule: all randomness flows from named, seeded streams.
 
 The simulation's claim to be "a pure function of (config, seed)" — and
-with it every figure in EXPERIMENTS.md — dies the moment any production
-code reads the wall clock, the process RNG, or an unordered container's
-iteration order.  These rules mechanically enforce the repository policy
-that every random draw comes from :class:`repro.sim.rng.StreamFactory`
-and every iteration that can reach the event calendar is ordered.
+with it every figure in EXPERIMENTS.md — rests on every random draw
+coming from :class:`repro.sim.rng.StreamFactory`.  Wall-clock reads and
+unordered iteration break the same claim, but those make two replays
+diverge, so ``repro-dsan`` and the golden replays catch them at runtime;
+an ad-hoc generator seeded with a constant replays identically and only
+this rule sees it.
 """
 
 from __future__ import annotations
@@ -13,71 +14,6 @@ from __future__ import annotations
 import ast
 
 from . import Rule, dotted_name, register
-
-#: Callable suffixes that read wall-clock time or ambient entropy.
-_BANNED_CALL_SUFFIXES: dict[tuple[str, ...], str] = {
-    ("time", "time"): "wall-clock read",
-    ("time", "time_ns"): "wall-clock read",
-    ("datetime", "now"): "wall-clock read",
-    ("datetime", "utcnow"): "wall-clock read",
-    ("datetime", "today"): "wall-clock read",
-    ("date", "today"): "wall-clock read",
-    ("os", "urandom"): "ambient entropy",
-    ("uuid", "uuid1"): "ambient entropy",
-    ("uuid", "uuid4"): "ambient entropy",
-}
-
-#: Modules whose import alone signals nondeterminism in production code.
-_BANNED_MODULES = {"random", "secrets"}
-
-
-@register
-class NoWallClockOrGlobalRandom(Rule):
-    """RPL001: no ``random``/``secrets`` imports or wall-clock/entropy calls.
-
-    Applies to ``src/repro/`` outside ``sim/rng.py``.  A single
-    ``random.random()`` or ``time.time()`` in model code silently breaks
-    bit-for-bit replay: two runs with the same seed diverge, and the
-    mean-field predictions the reproduction is checked against no longer
-    describe the simulated dynamics.
-    """
-
-    id = "RPL001"
-    title = "wall-clock or global-RNG use in production code"
-    hint = "draw from a repro.sim.rng.StreamFactory stream threaded from the config seed"
-
-    @classmethod
-    def applies_to(cls, ctx) -> bool:
-        """Everywhere the tree policy allows; sim/rng.py itself is exempt."""
-        return not ctx.is_rng_module
-
-    def visit_Import(self, node: ast.Import) -> None:
-        """Flag ``import random`` / ``import secrets``."""
-        for alias in node.names:
-            root = alias.name.split(".")[0]
-            if root in _BANNED_MODULES:
-                self.report(node, f"import of nondeterministic module {root!r}")
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        """Flag ``from random import ...`` / ``from secrets import ...``."""
-        root = (node.module or "").split(".")[0]
-        if root in _BANNED_MODULES and node.level == 0:
-            self.report(node, f"import from nondeterministic module {root!r}")
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag wall-clock and ambient-entropy calls."""
-        chain = dotted_name(node.func)
-        if len(chain) >= 2:
-            label = _BANNED_CALL_SUFFIXES.get(chain[-2:])
-            if label is not None:
-                self.report(
-                    node,
-                    f"{label} via {'.'.join(chain)}() makes the run "
-                    "irreproducible",
-                )
-        self.generic_visit(node)
 
 
 @register
@@ -110,64 +46,3 @@ class RngOutsideStreamFactory(Rule):
             )
         self.generic_visit(node)
 
-
-def _is_set_expression(node: ast.expr) -> bool:
-    """Whether ``node`` evaluates to a set (statically recognizable forms)."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
-            return True
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "union", "intersection", "difference", "symmetric_difference"
-        ):
-            return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        # ``a | b`` etc. is only a set when the operands are; recurse.
-        return _is_set_expression(node.left) or _is_set_expression(node.right)
-    return False
-
-
-@register
-class UnorderedIteration(Rule):
-    """RPL003: no iteration over unordered set expressions.
-
-    Set iteration order depends on the process hash seed
-    (``PYTHONHASHSEED``) for strings, so a loop over ``set(...)`` that
-    schedules events, assigns file sets, or builds output sequences
-    produces different results on different runs even with a fixed
-    simulation seed.  Wrap the expression in ``sorted(...)``.
-    """
-
-    id = "RPL003"
-    title = "iteration over an unordered set expression"
-    hint = "wrap the set in sorted(...) to fix the traversal order"
-
-    def _check_iterable(self, node: ast.expr) -> None:
-        if _is_set_expression(node):
-            self.report(
-                node,
-                "iterating an unordered set: order varies with PYTHONHASHSEED",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        """Flag ``for x in <set-expr>``."""
-        self._check_iterable(node.iter)
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        """Flag set expressions driving comprehensions."""
-        self._check_iterable(node.iter)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag ``list(set(...))`` / ``tuple(set(...))`` / ``enumerate(set(...))``."""
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "tuple", "enumerate")
-            and node.args
-        ):
-            self._check_iterable(node.args[0])
-        self.generic_visit(node)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from ..placement.registry import policy_factory
 from .telemetry import TelemetrySink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,13 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Scenario"]
 
 
-def _default_policy() -> "PlacementPolicy":
-    """Default policy factory: a fresh ANU placement policy."""
-    from ..placement.anu_policy import ANUPolicy
-
-    return ANUPolicy()
-
-
 @dataclass
 class Scenario:
     """A fleet + workload + policy + fault schedule, harness-agnostic.
@@ -65,8 +59,11 @@ class Scenario:
     trace: "Trace | None" = None
     operations: "list[Operation] | None" = None
     fileset_roots: dict[str, str] | None = None
-    #: Fresh-policy factory (policies are stateful); defaults to ANU.
-    policy: Callable[[], "PlacementPolicy"] = field(default=_default_policy)
+    #: Fresh-policy factory (policies are stateful); defaults to the
+    #: registry's ``anu``.
+    policy: Callable[[], "PlacementPolicy"] = field(
+        default_factory=lambda: policy_factory("anu")
+    )
     faults: "FaultSchedule | None" = None
     #: Stochastic chaos source: when set (and ``faults`` is not), each
     #: queueing/protocol run generates its schedule from the injector over

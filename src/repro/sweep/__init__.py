@@ -2,9 +2,9 @@
 
 The package splits along the process boundary:
 
-- :mod:`repro.sweep.api` — the process-safety contract (``@worker_entry``,
-  the process-cache registry).  Dependency-free; imported from every
-  layer, including :mod:`repro.core`.
+- :mod:`repro.sweep.api` — the process-cache registry that worker
+  initializers clear.  Dependency-free; imported from every layer,
+  including :mod:`repro.core`.
 - :mod:`repro.sweep.grid` — plans: cells with content-derived ids,
   canonical ordering, plan digests.
 - :mod:`repro.sweep.worker` — the spawn-safe per-cell worker running one
@@ -23,12 +23,7 @@ modules load on first attribute access.
 
 from __future__ import annotations
 
-from .api import (
-    clear_process_caches,
-    is_worker_entry,
-    register_process_cache,
-    worker_entry,
-)
+from .api import clear_process_caches, register_process_cache
 from .grid import Cell, GridSpec, PlanError, SweepPlan, cell_id_for
 
 __all__ = [
@@ -38,9 +33,7 @@ __all__ = [
     "SweepPlan",
     "cell_id_for",
     "clear_process_caches",
-    "is_worker_entry",
     "register_process_cache",
-    "worker_entry",
     "run_sweep",
     "SweepResult",
     "run_cell",

@@ -1,62 +1,28 @@
-"""Process-safety markers: worker entries and the process-cache registry.
+"""The process-cache registry: memo state reset at every worker start.
 
-This module is the *contract* between parallel code and the concurrency
-sanitizer (RPL107-RPL110 in :mod:`repro.lint.flow`).  It is deliberately
-dependency-free — anything in the package may import it, including
-:mod:`repro.core` — because the two primitives below have to be visible
-from every layer:
+A forked worker inherits whatever the parent memoized (warm
+``lru_cache`` cells, built segment maps); a spawned worker starts empty.
+Either way the cache contents are a function of *process history*, not
+of the cell being computed — so every worker initializer calls
+:func:`clear_process_caches` and starts from a blank slate.  Modules
+that keep such memos register their clear hook with
+:func:`register_process_cache`.
 
-- :func:`worker_entry` marks a function as a *worker-boundary* callable:
-  its body (and everything reachable from it) executes in a child
-  process.  The sanitizer treats marked functions exactly like callables
-  it sees passed to ``ProcessPoolExecutor.submit`` / ``Pool.map`` /
-  ``multiprocessing.Process`` — the marker exists for entry points that
-  reach a pool through indirection the call graph cannot follow.
-
-- :func:`register_process_cache` / :func:`clear_process_caches` manage
-  memo caches that must not leak parent-process contents into workers.
-  A forked worker inherits whatever the parent memoized (warm
-  ``lru_cache`` cells, built segment maps); a spawned worker starts
-  empty.  Either way the cache contents are a function of *process
-  history*, not of the cell being computed — so every worker initializer
-  calls :func:`clear_process_caches` and starts from a blank slate, and
-  RPL107 exempts caches whose ``X.cache_clear`` / ``X.clear`` is
-  registered here (the registration is statically visible evidence that
-  the cache is reset at the boundary).
+This module is deliberately dependency-free — anything in the package
+may import it, including :mod:`repro.core`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable
 
 __all__ = [
-    "worker_entry",
-    "is_worker_entry",
     "register_process_cache",
     "clear_process_caches",
 ]
 
-_F = TypeVar("_F", bound=Callable)
-
 #: Registered cache-clear hooks, in registration order.
 _HOOKS: list = []
-
-
-def worker_entry(fn: _F) -> _F:
-    """Mark ``fn`` as a worker-boundary entry point (identity decorator).
-
-    The function is returned unchanged; the marker is an attribute the
-    runtime can introspect and a *name* the static analysis resolves —
-    the concurrency rules root their reachability walks at every
-    ``@worker_entry`` function in the project.
-    """
-    fn.__worker_entry__ = True
-    return fn
-
-
-def is_worker_entry(fn: Callable) -> bool:
-    """Whether ``fn`` was marked with :func:`worker_entry`."""
-    return bool(getattr(fn, "__worker_entry__", False))
 
 
 def register_process_cache(clear: Callable[[], None]) -> Callable[[], None]:

@@ -8,8 +8,7 @@ of the plan, never of the schedule.**  Three mechanisms enforce it —
   it between files;
 - shards and the merged output are written in cell-id order at the end
   of the run (rows accumulate in a dict keyed by cell id — a
-  commutative, RPL109-clean reduce — and are sorted before any file is
-  written);
+  commutative reduce — and are sorted before any file is written);
 - the merged manifest records per-cell digest chains, so two runs of
   the same plan under different executors/worker counts can be compared
   byte-for-byte and, on mismatch, pinpointed to the first divergent

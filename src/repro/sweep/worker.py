@@ -1,22 +1,22 @@
 """The spawn-safe per-cell worker: one cell in, one plain-dict row out.
 
-:func:`run_cell` is the sweep's worker boundary.  Its contract with the
-concurrency sanitizer (RPL107-RPL110):
+:func:`run_cell` is the sweep's worker boundary.  Its contract, checked
+at runtime by the serial-vs-process ``cmp`` of merged output (CI's
+``sweep-smoke`` job) and the executor-parity tests:
 
 - the payload and the returned row are dicts of JSON scalars — nothing
   carrying an engine back-reference, open handle, or live sink crosses
-  the process boundary (RPL108);
+  the process boundary (the spawn pool would fail to pickle it);
 - every run draws randomness only from the cell's own seed, threaded
   through :class:`~repro.runtime.scenario.Scenario` into the simulator's
-  named ``StreamFactory`` streams — never from process-global RNG state
-  (RPL110);
+  named ``StreamFactory`` streams — never from process-global RNG state;
 - the row carries the cell's full :class:`DigestSink` chain head, so the
   orchestrator can prove that merged output is independent of which
-  process computed the cell and when (RPL109's merge is keyed by cell
-  id, never by completion order);
+  process computed the cell and when (the merge is keyed by cell id,
+  never by completion order);
 - :func:`pool_initializer` clears every registered process cache before
   a worker computes anything, so no parent-process memo state can leak
-  into a child (RPL107).
+  into a child.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..placement.replicated import ReplicatedPolicy
 from ..runtime.scenario import Scenario
 from ..runtime.telemetry import DigestSink
 from ..workloads.synthetic import SyntheticConfig, generate_synthetic
-from .api import clear_process_caches, worker_entry
+from .api import clear_process_caches
 
 __all__ = [
     "LIMP_SCHEDULES",
@@ -179,7 +179,6 @@ def _summarize(result: RunResult) -> dict:
     }
 
 
-@worker_entry
 def run_cell(payload: dict) -> dict:
     """Run one sweep cell; both ``payload`` and the row are plain dicts.
 

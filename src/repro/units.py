@@ -1,4 +1,4 @@
-"""Static time/share unit markers, checked by ``repro-lint`` (RPL102).
+"""Time/share unit markers: ``Seconds`` and ``Ticks`` as documentation.
 
 The repository juggles two incompatible scalar units:
 
@@ -9,17 +9,18 @@ The repository juggles two incompatible scalar units:
 
 Both are plain numbers at runtime, so nothing stops a share-tick count
 from being scheduled as a delay or a latency from being added to a share.
-These ``NewType`` aliases exist to make the unit part of a function's
-signature; the whole-program rule RPL102 reads the annotations and flags
-mixed-unit arithmetic, comparisons, arguments, and returns across
-function boundaries.  At runtime they are identity functions — zero cost,
-no behavior change.
+These ``NewType`` aliases make the unit part of a function's signature,
+so a reader (and a type checker) sees which one a value carries.  No
+linter rule reads them; a unit mix-up shows up at runtime as drift in
+the golden replays and in the response-time magnitudes checked by
+``tests/test_queueing_theory.py``.  At runtime they are identity
+functions — zero cost, no behavior change.
 
 Convention (see CONTRIBUTING): annotate parameters and returns that carry
 a unit with ``Seconds``/``Ticks`` (bare, ``Optional``, or inside
 ``list``/``dict`` element positions).  Use ``Seconds(x)`` / ``Ticks(x)``
-to assert the unit of a value whose provenance the checker cannot see
-(e.g. numbers parsed from a trace file).
+to state the unit of a value whose provenance is not obvious (e.g.
+numbers parsed from a trace file).
 """
 
 from __future__ import annotations

@@ -122,9 +122,9 @@ def run_full_system(seed: int, telemetry=None, router=None, replication: int = 1
 
 def full_system_golden(result) -> dict:
     return {
-        "ops_completed": result.ops_completed,
+        "ops_completed": result.total_requests - result.ops_failed,
         "ops_failed": result.ops_failed,
-        "moves": result.moves,
+        "moves": result.moves_completed,
         "tuning_rounds": result.tuning_rounds,
         "ownership": result.cluster.ownership(),
         "shares": result.cluster.placement.shares(),

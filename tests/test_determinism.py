@@ -102,9 +102,9 @@ def _run_full_system_once(seed: int):
 def test_full_system_simulation_replays_bit_identically():
     a = _run_full_system_once(seed=11)
     b = _run_full_system_once(seed=11)
-    assert a.ops_completed == b.ops_completed
+    assert a.total_requests == b.total_requests
     assert a.ops_failed == b.ops_failed
-    assert a.moves == b.moves
+    assert a.moves_completed == b.moves_completed
     assert a.tuning_rounds == b.tuning_rounds
     assert a.cluster.ownership() == b.cluster.ownership()
     assert a.cluster.placement.shares() == b.cluster.placement.shares()

@@ -159,7 +159,7 @@ def test_full_system_telemetry_does_not_perturb_replay():
     assert counts["arrival"] == result.total_requests
     assert counts["completion"] == result.total_requests
     assert counts["tuning"] == result.tuning_rounds
-    assert counts["move-finish"] == result.moves
+    assert counts["move-finish"] == result.moves_completed
 
 
 def test_protocol_stack_replays_identically_with_telemetry():

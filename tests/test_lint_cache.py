@@ -106,36 +106,3 @@ def test_benchmark_guard_warm_full_tree_run(tmp_path):
     assert warm == cold == []
     assert elapsed < 5.0, f"warm cached run took {elapsed:.2f}s (budget 5s)"
 
-
-def test_parallel_per_file_phase_matches_serial():
-    """``jobs=N`` must produce byte-for-byte the diagnostics of ``jobs=1``.
-
-    The parallel per-file phase merges worker results keyed by path —
-    never by completion order — so any divergence here means the merge
-    leaked scheduling into the output.
-    """
-    target = REPO_ROOT / "src" / "repro" / "sweep"
-    serial = lint_paths([target], jobs=1)
-    parallel = lint_paths([target], jobs=2)
-    assert parallel == serial == []
-
-
-def test_warm_cache_run_spawns_no_workers(tmp_path, monkeypatch):
-    """A fully cached run must not pay worker-pool startup.
-
-    Every file hits the per-file cache, so the pending set is empty and
-    the spawn pool must never be constructed — enforced by making pool
-    construction explode.
-    """
-    import multiprocessing
-
-    cache_dir = tmp_path / "cache"
-    target = REPO_ROOT / "src" / "repro" / "sweep"
-    cold = lint_paths([target], cache=LintCache(cache_dir), jobs=2)
-
-    def boom(*args, **kwargs):
-        raise AssertionError("warm cached run must not spawn workers")
-
-    monkeypatch.setattr(multiprocessing, "get_context", boom)
-    warm = lint_paths([target], cache=LintCache(cache_dir), jobs=2)
-    assert warm == cold

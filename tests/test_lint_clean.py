@@ -11,17 +11,16 @@ tree       excluded rules (everything else applies)
 src        none — production code gets the full catalogue
 examples   none — examples are copied verbatim; they must model the
            same discipline as production code
-tests      RPL001/RPL002 (tests seed ad-hoc generators on purpose),
+tests      RPL002 (tests seed ad-hoc generators on purpose),
            RPL004 (float literals in expected values), RPL009
            (fixtures monkeypatch globals)
 benchmarks same as tests — harness code, not simulation code
 ========== =========================================================
 
-The whole-program rules (RPL101-110, including the concurrency-safety
-layer RPL107-110 that guards ``repro.sweep`` and the parallel linter
-itself) run wherever package files are in the lint set and are never
-excluded by tree: they analyze ``src/repro`` itself, so the tree
-containing the *entry path* is irrelevant.
+The whole-program rules (RPL103, RPL105, RPL106) run wherever package
+files are in the lint set and are never excluded by tree: they analyze
+``src/repro`` itself, so the tree containing the *entry path* is
+irrelevant.
 """
 
 import pathlib

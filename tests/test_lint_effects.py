@@ -1,87 +1,19 @@
-"""The effect/purity analysis rules (RPL104–106).
+"""The effect-analysis rules (RPL105, RPL106).
 
 Bad-fixture projects through :func:`repro.lint.lint_project`, each with a
 clean twin proving the rule converges to zero on correct code, plus
-suppression handling.  The fixtures mirror the real findings this rule
-family surfaced: ambient reads on seeded paths (RPL104), the membership
-director's emit-then-validate bug (RPL105), and the interval's
-repartition-then-validate bug (RPL106).
+suppression handling.  The fixtures mirror the real findings these rules
+surfaced: the membership director's emit-then-validate bug (RPL105) and
+the interval's repartition-then-validate bug (RPL106).
 """
 
 from repro.lint import lint_project
-from repro.lint.flow.purity import ImpureAmbientRead
 from repro.lint.flow.telemetry_gap import TelemetryGap
 from repro.lint.flow.torn_state import MutateThenRaise
 
 
 def ids(findings):
     return [f.rule_id for f in findings]
-
-
-# ----------------------------------------------------------------------
-# RPL104 — ambient reads reachable from seeded entry points
-# ----------------------------------------------------------------------
-def test_rpl104_flags_clock_env_and_mutable_global_on_seeded_path():
-    findings = lint_project({
-        "src/repro/runtime/scenario.py": (
-            "import os\n"
-            "from ..util.helpers import jitter\n"
-            "class Scenario:\n"
-            "    def run_cluster(self):\n"
-            "        return jitter() + debug_flag()\n"
-            "def debug_flag():\n"
-            "    return 1 if os.environ.get('DEBUG') else 0\n"
-        ),
-        "src/repro/util/helpers.py": (
-            "import time\n"
-            "_CALLS = 0\n"
-            "def bump():\n"
-            "    global _CALLS\n"
-            "    _CALLS = _CALLS + 1\n"
-            "def jitter():\n"
-            "    return time.time() + _CALLS\n"
-        ),
-    }, rules=[ImpureAmbientRead])
-    assert ids(findings) == ["RPL104"] * 3
-    messages = " | ".join(f.message for f in findings)
-    assert "wall-clock" in messages
-    assert "environ read of os.environ" in messages
-    assert "mutable-global" in messages
-    assert "Scenario.run_cluster" in messages
-
-
-def test_rpl104_ignores_unreachable_reads_and_threaded_values():
-    findings = lint_project({
-        "src/repro/runtime/scenario.py": (
-            "class Scenario:\n"
-            "    def run_cluster(self, now):\n"
-            "        return now + 1.0\n"
-        ),
-        "src/repro/util/helpers.py": (
-            # Ambient read, but nothing seeded can reach it.
-            "import time\n"
-            "def wall_clock_tool():\n"
-            "    return time.time()\n"
-        ),
-    }, rules=[ImpureAmbientRead])
-    assert findings == []
-
-
-def test_rpl104_exempts_the_contracts_module():
-    findings = lint_project({
-        "src/repro/runtime/scenario.py": (
-            "from ..contracts import enabled\n"
-            "class Scenario:\n"
-            "    def run_cluster(self):\n"
-            "        return enabled()\n"
-        ),
-        "src/repro/contracts.py": (
-            "import os\n"
-            "def enabled():\n"
-            "    return os.environ.get('REPRO_CONTRACTS') != 'off'\n"
-        ),
-    }, rules=[ImpureAmbientRead])
-    assert findings == []
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Whole-program linting: call graph edge cases and the RPL1xx rules.
+"""Whole-program linting: call graph edge cases and RPL103.
 
 Two halves:
 
@@ -6,10 +6,10 @@ Two halves:
    cycles, decorated functions, method resolution through ``self`` and
    inferred receivers, ``__init__.py`` re-exports, and dynamic calls
    degrading to the explicit "unknown" bucket (never guessed edges).
-2. Bad-fixture projects for RPL101/RPL102/RPL103 where the offending
-   value crosses a function (or class) boundary — exactly the bugs the
-   per-file rules of PR 1 cannot see — plus the clean twins proving the
-   rules stay quiet, and suppression-comment handling.
+2. Bad-fixture projects for RPL103 where the offending write crosses a
+   function (or class) boundary — exactly the bugs the per-file rules
+   cannot see — plus the clean twins proving the rule stays quiet, and
+   suppression-comment handling.
 
 Fixtures go through :func:`repro.lint.lint_project`, the in-memory
 entry point, with an explicit rule selection so per-file rules (which
@@ -21,8 +21,6 @@ from repro.lint.engine import build_context
 from repro.lint.flow import build_project
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.mutation import ContractBypass
-from repro.lint.flow.rng_provenance import RngProvenance
-from repro.lint.flow.units import UnitConsistency
 
 
 def make_graph(sources: dict[str, str]) -> CallGraph:
@@ -45,7 +43,6 @@ def test_callgraph_cycles_terminate_and_resolve():
     ping, pong = "repro.core.cyc.ping", "repro.core.cyc.pong"
     assert pong in graph.edges[ping]
     assert ping in graph.edges[pong]
-    assert graph.reachable_from({ping}) == {ping, pong}
 
 
 def test_callgraph_decorated_functions_keep_edges_and_decorators():
@@ -124,177 +121,6 @@ def test_callgraph_dynamic_calls_degrade_to_unknown():
     assert not graph.edges.get(caller)
     # ...but the call sites are accounted for, not silently dropped.
     assert sum(1 for u in graph.unknown if u.caller == caller) >= 2
-
-
-# ----------------------------------------------------------------------
-# RPL101 — RNG-stream provenance
-# ----------------------------------------------------------------------
-RNG_MODULE = (
-    "class StreamFactory:\n"
-    "    def __init__(self, seed):\n"
-    "        self.seed = seed\n"
-    "    def stream(self, name):\n"
-    "        return object()\n"
-)
-
-
-def test_rpl101_rawgen_crossing_a_function_boundary():
-    findings = lint_project({
-        "src/repro/core/load.py": (
-            "import numpy as np\n"
-            "def make_gen():\n"
-            "    return np.random.default_rng(7)\n"
-            "def sample_width():\n"
-            "    gen = make_gen()\n"
-            "    return gen.uniform(0.0, 1.0)\n"
-        ),
-    }, rules=[RngProvenance])
-    assert [d.rule_id for d in findings] == ["RPL101"]
-    assert findings[0].line == 6  # the sampling site, not the factory
-    assert "raw RNG factory" in findings[0].message
-
-
-def test_rpl101_stream_aliased_across_class_boundary():
-    findings = lint_project({
-        "src/repro/sim/rng.py": RNG_MODULE,
-        "src/repro/core/producer.py": (
-            "from ..sim.rng import StreamFactory\n"
-            "class Producer:\n"
-            "    def __init__(self, factory: StreamFactory):\n"
-            "        self.rng = factory.stream('producer')\n"
-            "    def draw(self):\n"
-            "        return self.rng.uniform(0.0, 1.0)\n"
-        ),
-        "src/repro/core/consumer.py": (
-            "from .producer import Producer\n"
-            "class Consumer:\n"
-            "    def __init__(self, producer: Producer):\n"
-            "        self.rng = producer.rng\n"  # attribute aliasing
-            "    def draw(self):\n"
-            "        return self.rng.uniform(0.0, 1.0)\n"
-        ),
-    }, rules=[RngProvenance])
-    assert [d.rule_id for d in findings] == ["RPL101"]
-    assert findings[0].path == "src/repro/core/consumer.py"
-    assert "'producer'" in findings[0].message
-    assert "must not cross class boundaries" in findings[0].message
-
-
-def test_rpl101_polymorphic_shared_base_is_one_component():
-    findings = lint_project({
-        "src/repro/sim/rng.py": RNG_MODULE,
-        "src/repro/core/policy.py": (
-            "from ..sim.rng import StreamFactory\n"
-            "class Context:\n"
-            "    def __init__(self, factory: StreamFactory):\n"
-            "        self.rng = factory.stream('tuning')\n"
-            "class Policy:\n"
-            "    def __init__(self, context: Context):\n"
-            "        self.context = context\n"
-            "class Greedy(Policy):\n"
-            "    def decide(self):\n"
-            "        return self.context.rng.uniform(0.0, 1.0)\n"
-            "class Random(Policy):\n"
-            "    def decide(self):\n"
-            "        return self.context.rng.uniform(0.0, 1.0)\n"
-        ),
-    }, rules=[RngProvenance])
-    assert findings == []
-
-
-def test_rpl101_private_stream_is_clean():
-    findings = lint_project({
-        "src/repro/sim/rng.py": RNG_MODULE,
-        "src/repro/core/solo.py": (
-            "from ..sim.rng import StreamFactory\n"
-            "class Solo:\n"
-            "    def __init__(self, factory: StreamFactory):\n"
-            "        self.rng = factory.stream('solo')\n"
-            "    def draw(self):\n"
-            "        return self.rng.uniform(0.0, 1.0)\n"
-        ),
-    }, rules=[RngProvenance])
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# RPL102 — seconds/ticks unit consistency
-# ----------------------------------------------------------------------
-UNITS_MODULE = (
-    "from typing import NewType\n"
-    "Seconds = NewType('Seconds', float)\n"
-    "Ticks = NewType('Ticks', int)\n"
-)
-
-
-def test_rpl102_tick_value_passed_as_seconds_across_functions():
-    findings = lint_project({
-        "src/repro/units.py": UNITS_MODULE,
-        "src/repro/sim/clock.py": (
-            "from ..units import Seconds\n"
-            "def advance(delay: Seconds) -> Seconds:\n"
-            "    return delay\n"
-        ),
-        "src/repro/core/shares.py": (
-            "from ..units import Ticks\n"
-            "from ..sim.clock import advance\n"
-            "def grow(amount: Ticks) -> Ticks:\n"
-            "    return amount\n"
-            "def bad(amount: Ticks):\n"
-            "    return advance(grow(amount))\n"  # ticks into a Seconds slot
-        ),
-    }, rules=[UnitConsistency])
-    assert [d.rule_id for d in findings] == ["RPL102"]
-    assert findings[0].path == "src/repro/core/shares.py"
-    assert "argument 'delay'" in findings[0].message
-    assert "expects seconds but receives ticks" in findings[0].message
-
-
-def test_rpl102_mixed_arithmetic_from_cross_function_returns():
-    findings = lint_project({
-        "src/repro/units.py": UNITS_MODULE,
-        "src/repro/core/mix.py": (
-            "from ..units import Seconds, Ticks\n"
-            "def elapsed() -> Seconds:\n"
-            "    return Seconds(1.5)\n"
-            "def quota() -> Ticks:\n"
-            "    return Ticks(64)\n"
-            "def bad():\n"
-            "    return elapsed() + quota()\n"
-        ),
-    }, rules=[UnitConsistency])
-    assert [d.rule_id for d in findings] == ["RPL102"]
-    assert "mixes" in findings[0].message
-
-
-def test_rpl102_unconverted_return():
-    findings = lint_project({
-        "src/repro/units.py": UNITS_MODULE,
-        "src/repro/core/conv.py": (
-            "from ..units import Seconds, Ticks\n"
-            "def quota() -> Ticks:\n"
-            "    return Ticks(64)\n"
-            "def window() -> Seconds:\n"
-            "    return quota()\n"  # ticks returned where Seconds declared
-        ),
-    }, rules=[UnitConsistency])
-    assert [d.rule_id for d in findings] == ["RPL102"]
-    assert "declares seconds but" in findings[0].message
-    assert "returns ticks" in findings[0].message
-
-
-def test_rpl102_division_erases_units():
-    # s / RESOLUTION converts between unit systems; the quotient carries
-    # no unit and may flow anywhere.
-    findings = lint_project({
-        "src/repro/units.py": UNITS_MODULE,
-        "src/repro/core/ratio.py": (
-            "from ..units import Seconds, Ticks\n"
-            "def rate(window: Seconds, share: Ticks) -> float:\n"
-            "    return share / window\n"
-        ),
-    }, rules=[UnitConsistency])
-    assert findings == []
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ def ids(source: str, path: str = SRC) -> list[str]:
 # Registry shape
 # ----------------------------------------------------------------------
 def test_registry_has_at_least_eight_documented_rules():
-    rules = all_rules()
+    rules = list(REGISTRY.values())
     assert len(rules) >= 8
     for rule in rules:
         assert rule.id.startswith("RPL") and len(rule.id) == 6
@@ -41,42 +41,6 @@ def test_registry_has_at_least_eight_documented_rules():
 def test_rule_ids_are_unique_and_sorted():
     listed = [rule.id for rule in all_rules()]
     assert listed == sorted(set(listed))
-
-
-# ----------------------------------------------------------------------
-# RPL001 — wall clock / global RNG
-# ----------------------------------------------------------------------
-def test_rpl001_fires_on_random_import_and_wall_clock():
-    bad = """
-        import random
-        import time
-
-        def jitter():
-            return random.random() + time.time()
-    """
-    found = ids(bad)
-    assert found.count("RPL001") >= 2  # the import and the time.time() call
-
-
-def test_rpl001_fires_on_datetime_now_and_urandom():
-    assert "RPL001" in ids("import os\ntoken = os.urandom(8)\n")
-    assert "RPL001" in ids(
-        "from datetime import datetime\nstamp = datetime.now()\n"
-    )
-
-
-def test_rpl001_silent_on_good_code_and_outside_package():
-    good = """
-        from ..sim.rng import StreamFactory
-
-        def draws(seed):
-            return StreamFactory(seed).stream("component").random()
-    """
-    assert "RPL001" not in ids(good)
-    # Tests and benchmarks are free to use the stdlib clock.
-    assert "RPL001" not in ids("import time\nt0 = time.time()\n", path=TEST)
-    # The RNG module itself is the sanctioned home.
-    assert "RPL001" not in ids("import random\n", path=RNG)
 
 
 # ----------------------------------------------------------------------
@@ -103,22 +67,6 @@ def test_rpl002_silent_on_streams_annotations_and_rng_module():
     assert "RPL002" not in ids(
         "import numpy as np\nrng = np.random.default_rng(0)\n", path=RNG
     )
-
-
-# ----------------------------------------------------------------------
-# RPL003 — unordered iteration
-# ----------------------------------------------------------------------
-def test_rpl003_fires_on_set_iteration_forms():
-    assert "RPL003" in ids("for name in {'a', 'b'}:\n    print(name)\n")
-    assert "RPL003" in ids("names = list(set(['b', 'a']))\n")
-    assert "RPL003" in ids("pairs = [n for n in set(words)]\n")
-    assert "RPL003" in ids("for n in alive.intersection(owners):\n    pass\n")
-
-
-def test_rpl003_silent_when_sorted():
-    assert "RPL003" not in ids("for name in sorted({'a', 'b'}):\n    pass\n")
-    assert "RPL003" not in ids("names = sorted(set(['b', 'a']))\n")
-    assert "RPL003" not in ids("for name in ['a', 'b']:\n    pass\n")
 
 
 # ----------------------------------------------------------------------
@@ -241,14 +189,16 @@ def test_suppression_is_rule_specific():
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) >= 8
-    assert all(line.startswith("RPL") for line in lines)
+    assert [line.split()[0] for line in lines] == [
+        "RPL002", "RPL004", "RPL005", "RPL006", "RPL007", "RPL008",
+        "RPL009", "RPL103", "RPL105", "RPL106",
+    ]
 
 
 def test_cli_explain(capsys):
-    assert main(["--explain", "rpl001"]) == 0
+    assert main(["--explain", "rpl002"]) == 0
     out = capsys.readouterr().out
-    assert "RPL001" in out and "autofix hint" in out
+    assert "RPL002" in out and "autofix hint" in out
     assert main(["--explain", "RPL999"]) == 2
 
 

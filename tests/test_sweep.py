@@ -5,7 +5,7 @@ a pure function of its plan, regardless of executor kind, worker count,
 completion order, or whether the run was interrupted and resumed.  The
 process-executor tests spawn real worker processes (spawn start method,
 the strictest), so they double as an integration test of the
-``@worker_entry`` / ``register_process_cache`` contract.
+``register_process_cache`` contract.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.core.interval import MappedInterval
-from repro.lint.flow.cache import version_token
 from repro.sweep import (
     Cell,
     GridSpec,
@@ -208,13 +207,6 @@ def test_clear_process_caches_resets_interval_segment_cache():
     assert interval._segments_gen == -1
     for server in interval.servers:
         assert interval.segments(server) == interval._build_segments(server)
-
-
-def test_clear_process_caches_resets_lint_version_token():
-    version_token()
-    assert version_token.cache_info().currsize == 1
-    clear_process_caches()
-    assert version_token.cache_info().currsize == 0
 
 
 def test_register_process_cache_is_idempotent_and_decoratable():
