@@ -1,110 +1,18 @@
-"""Microbenchmarks of the determinism sanitizer's hot paths.
+"""Microbenchmark of :func:`~repro.runtime.telemetry.first_divergence`.
 
-The sanitizer's cost model has two sides worth pinning:
-
-- :class:`~repro.runtime.telemetry.DigestSink` — every ``repro-dsan``
-  run folds *every* telemetry record through a BLAKE2 chain link, so the
-  per-record cost bounds how large a scenario the sanitizer can afford.
-  The end-to-end case gates it against the same seeded run through the
-  default null sink: hashing the full stream must stay near 2x the
-  silent run (the case's baseline median is the precise gate), and the
-  summary must be bit-identical (the sink is purely observational).
-- :func:`~repro.runtime.telemetry.first_divergence` — bisection over the
-  chains; logarithmic, but it runs on chains the size of the whole event
-  stream, so a accidental linear scan would be very visible here.
+The e2e benchmark times the sanitizer's other hot path, folding every
+record through a ``DigestSink`` chain, on ``fig6-limp-digest``.  No
+workload bisects two chains, so that cost is pinned here: bisection is
+logarithmic, but it runs on chains the size of the whole event stream,
+so an accidental linear scan would be very visible.
 """
 
-import time
-
-from conftest import quick_mode
-
-from repro.runtime.telemetry import (
-    DigestSink,
-    RequestCompleted,
-    first_divergence,
-)
-
-
-def _records(n):
-    return [
-        RequestCompleted(time=float(i), server=f"s{i % 8}", latency=0.01)
-        for i in range(n)
-    ]
-
-
-def test_digest_sink_emit_throughput(benchmark):
-    """Per-record chain-link cost (serialize + BLAKE2 + append)."""
-    n = 2_000 if quick_mode() else 20_000
-    records = _records(n)
-
-    def fold_stream():
-        sink = DigestSink()
-        for record in records:
-            sink.emit(record)
-        return len(sink)
-
-    folded = benchmark(fold_stream)
-    assert folded == n
-
-
-def _cluster_run(telemetry=None):
-    from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
-    from repro.placement.anu_policy import ANUPolicy
-    from repro.workloads import SyntheticConfig, generate_synthetic
-
-    n = 200 if quick_mode() else 600
-    trace = generate_synthetic(
-        SyntheticConfig(n_filesets=60, n_requests=n, duration=300.0, seed=5)
-    )
-    config = ClusterConfig(
-        servers=paper_servers(), tuning_interval=30.0, seed=5
-    )
-    sim = ClusterSimulation(config, ANUPolicy(), trace, telemetry=telemetry)
-    return sim.run()
-
-
-def test_cluster_run_digest_sink_overhead(benchmark):
-    """Full seeded run hashing every event, gated against the null sink.
-
-    This is the sanitizer's end-to-end overhead: what one ``repro-dsan``
-    worker pays over the plain simulation it replays.  Also asserts the
-    digest stream is deterministic (two identical runs, identical
-    chains) and observational (summary matches the silent run).
-    """
-    silent = _cluster_run()
-    sink = DigestSink()
-    result = _cluster_run(telemetry=sink)
-    benchmark(lambda: _cluster_run(telemetry=DigestSink()))
-    assert result.summary() == silent.summary()
-    assert len(sink.chain) > 0
-    again = DigestSink()
-    _cluster_run(telemetry=again)
-    assert again.chain == sink.chain
-
-    def median_time(fn):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[1]
-
-    base = median_time(_cluster_run)
-    instr = median_time(lambda: _cluster_run(telemetry=DigestSink()))
-    overhead = (instr - base) / base * 100.0
-    print(
-        f"\ndigest overhead: null-sink {base * 1000:.1f}ms, "
-        f"digest-sink {instr * 1000:.1f}ms ({overhead:+.1f}%), "
-        f"{len(sink.chain)} records hashed"
-    )
-    # Loose sanity bound only (runs on noisy shared runners); the precise
-    # regression gate is this case's median vs the committed baseline.
-    assert instr < base * 2.5, "hashing every event should stay near 2x the silent run"
+from repro.runtime.telemetry import first_divergence
 
 
 def test_first_divergence_bisection(benchmark):
     """Bisecting a long chain pair must stay logarithmic."""
-    n = 20_000 if quick_mode() else 200_000
+    n = 200_000
     where = n // 3
     good = [f"{i:032x}" for i in range(n)]
     bad = good[:where] + [f"{i:031x}X" for i in range(where, n)]

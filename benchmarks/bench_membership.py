@@ -1,150 +1,13 @@
-"""Microbenchmarks of the membership subsystem (:mod:`repro.membership`).
+"""Microbenchmark of ``TwoChoicePolicy`` orphan re-placement.
 
-All three harness stacks now route every server-set change through the
-shared roster/director/injector core, so its hot paths sit on the
-fault-handling critical path of every chaos run:
-
-- ``FaultSchedule`` ordered insertion (the ``bisect.insort`` rewrite of
-  the old sort-on-every-add);
-- roster replay cost of applying a long valid schedule
-  (``apply_event`` dispatch + state-machine transition checks);
-- ``FaultInjector`` schedule-generation throughput (per-server
-  exponential draws, churn streams, validity filtering);
-- a churn-heavy end-to-end ``ClusterSimulation`` run where the director
-  re-places file sets and re-injects orphans on every event.
+The e2e benchmark times the rest of the membership subsystem on
+``fig6-limp-digest``: schedule generation and insertion in its set-up,
+roster and director event application (crash, recover, degrade, restore)
+in its ``membership`` layer, and the churned run end to end.  It runs
+ANU only, so the two-choice policy's re-placement path is pinned here.
 """
 
-from conftest import quick_mode
-
-from repro.membership import (
-    ChaosProfile,
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    FaultInjector,
-    MembershipRoster,
-    apply_event,
-)
-from repro.sim.rng import StreamFactory
-from repro.units import Seconds
-
-CHURN = ChaosProfile(
-    mttf=Seconds(240.0),
-    mttr=Seconds(45.0),
-    decommission_every=Seconds(400.0),
-    commission_every=Seconds(350.0),
-    delegate_crash_every=Seconds(500.0),
-    min_live=2,
-    max_commissions=8,
-)
-
-SPEEDS = {f"server{i}": float(s) for i, s in enumerate([1, 3, 5, 7, 9])}
-
-
-def _alternating_events(n):
-    """A long legal fail/recover stream over a 16-server fleet."""
-    rng = StreamFactory(7).stream("bench-events")
-    servers = [f"s{i:02d}" for i in range(16)]
-    roster = MembershipRoster(servers)
-    events = []
-    time = 0.0
-    while len(events) < n:
-        time += float(rng.uniform(0.1, 2.0))
-        down = [s for s in servers if not roster.is_live(s)]
-        if down and (len(down) > 8 or rng.random() < 0.5):
-            victim = down[int(rng.integers(len(down)))]
-            roster.recover(victim)
-            events.append(FaultEvent(Seconds(time), FaultKind.RECOVER, victim))
-        else:
-            live = roster.live()
-            victim = live[int(rng.integers(len(live)))]
-            roster.fail(victim)
-            events.append(FaultEvent(Seconds(time), FaultKind.FAIL, victim))
-    return events
-
-
-def test_schedule_insert_throughput(benchmark):
-    """Ordered insertion of N events given in shuffled order."""
-    n = 1_000 if quick_mode() else 5_000
-    events = _alternating_events(n)
-    shuffled = list(events)
-    StreamFactory(11).stream("bench-shuffle").shuffle(shuffled)  # type: ignore[arg-type]
-
-    def build():
-        schedule = FaultSchedule()
-        for event in shuffled:
-            schedule.add(event)
-        return len(schedule)
-
-    built = benchmark(build)
-    assert built == n
-
-
-def test_roster_replay_cost(benchmark):
-    """apply_event dispatch + transition checks over a long schedule."""
-    n = 2_000 if quick_mode() else 10_000
-    events = _alternating_events(n)
-
-    def replay():
-        roster = MembershipRoster([f"s{i:02d}" for i in range(16)])
-        for event in events:
-            apply_event(roster, event)
-        return roster.live_count
-
-    live = benchmark(replay)
-    assert live >= 1
-
-
-def test_injector_generation_throughput(benchmark):
-    """Seeded schedule generation over a long horizon (full churn)."""
-    horizon = Seconds(20_000.0 if quick_mode() else 100_000.0)
-
-    def generate():
-        injector = FaultInjector(SPEEDS, CHURN, seed=9)
-        return len(injector.generate(horizon))
-
-    events = benchmark(generate)
-    assert events > 50
-
-
-def test_degraded_event_application_cost(benchmark):
-    """Gray-failure hot path: DEGRADE/RESTORE through roster + director.
-
-    Degrade/restore events skip re-placement entirely (set_speed only),
-    so applying a long limp-heavy schedule must stay cheap — this case
-    gates the short-circuit path against the committed baseline.
-    """
-    rng = StreamFactory(13).stream("bench-degrade")
-    servers = [f"s{i:02d}" for i in range(16)]
-    n = 2_000 if quick_mode() else 10_000
-    events = []
-    time = 0.0
-    limping = set()
-    while len(events) < n:
-        time += float(rng.uniform(0.1, 2.0))
-        if limping and (len(limping) > 8 or rng.random() < 0.5):
-            victim = sorted(limping)[int(rng.integers(len(limping)))]
-            limping.discard(victim)
-            events.append(FaultEvent(Seconds(time), FaultKind.RESTORE, victim))
-        else:
-            healthy = [s for s in servers if s not in limping]
-            victim = healthy[int(rng.integers(len(healthy)))]
-            limping.add(victim)
-            events.append(
-                FaultEvent(
-                    Seconds(time), FaultKind.DEGRADE, victim,
-                    factor=float(rng.uniform(0.1, 0.9)),
-                )
-            )
-
-    def replay():
-        roster = MembershipRoster(servers)
-        for event in events:
-            apply_event(roster, event)
-        return len(roster.degraded())
-
-    degraded = benchmark(replay)
-    assert 0 <= degraded <= len(servers)
+from repro.placement import TwoChoicePolicy
 
 
 def test_two_choice_orphan_replacement_cost(benchmark):
@@ -156,10 +19,8 @@ def test_two_choice_orphan_replacement_cost(benchmark):
     membership change.  This case pins the hoisted-sort cost: a fleet
     losing its most-loaded server re-places ~1/n of a large universe.
     """
-    from repro.placement import TwoChoicePolicy
-
     servers = [f"s{i:02d}" for i in range(32)]
-    filesets = [f"fs{i:05d}" for i in range(2_000 if quick_mode() else 20_000)]
+    filesets = [f"fs{i:05d}" for i in range(20_000)]
     policy = TwoChoicePolicy()
     assignment = policy.initial_assignment(filesets, servers)
     victim = max(set(assignment.values()),
@@ -172,35 +33,3 @@ def test_two_choice_orphan_replacement_cost(benchmark):
     new = benchmark(replace)
     assert set(new) == set(filesets)
     assert victim not in set(new.values())
-
-
-def test_churn_heavy_cluster_run(benchmark):
-    """End-to-end queueing run under continuous membership churn."""
-    from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
-    from repro.placement.anu_policy import ANUPolicy
-    from repro.workloads import SyntheticConfig, generate_synthetic
-
-    n = 500 if quick_mode() else 3_000
-    trace = generate_synthetic(
-        SyntheticConfig(
-            n_filesets=40,
-            n_requests=n,
-            duration=1200.0,
-            request_cost=0.3,
-            seed=3,
-        )
-    )
-    faults = FaultInjector(SPEEDS, CHURN, seed=4).generate(
-        Seconds(trace.duration)
-    )
-    config = ClusterConfig(
-        servers=paper_servers(), tuning_interval=120.0, seed=1
-    )
-
-    def run():
-        sim = ClusterSimulation(config, ANUPolicy(), trace, faults)
-        return sim.run()
-
-    result = benchmark(run)
-    assert sum(result.completed.values()) == len(trace)
-    assert len(faults) > 10 and result.retries >= 0

@@ -1,36 +1,28 @@
-"""Microbenchmarks of the core placement operations.
+"""Microbenchmarks of the core placement operations at fleet sizes no
+end-to-end workload reaches.
 
 These quantify the paper's §5 scalability claims: addressing and locating
 load is hashing only (microseconds, no I/O), and reconfiguration state
-scales with servers, not file sets.
+scales with servers, not file sets.  The e2e benchmark times ``locate``
+and ``set_shares`` on the paper's five servers (``synth-2k-t10``,
+``tuning.decide``); the cases here pin how they scale to 80 servers, the
+mapped-region reads that only the figure drivers use, and the prescient
+comparator's bin packing.
 """
 
 import pytest
 
-from repro.core import ANUPlacement, HashFamily, MappedInterval, hash_to_unit
+from repro.core import ANUPlacement, MappedInterval
 from repro.placement.prescient import lpt_assign
 
 NAMES = [f"/projects/fs{i:05d}" for i in range(1000)]
 
-
-def test_hash_probe_throughput(benchmark):
-    family = HashFamily()
-
-    def probe_all():
-        for name in NAMES:
-            family.probe(name, 0)
-
-    benchmark(probe_all)
+#: The scaling point: 16x the paper's fleet.
+N_SERVERS = 80
 
 
-def test_hash_to_unit_single(benchmark):
-    benchmark(hash_to_unit, "/projects/fs00042", 0)
-
-
-@pytest.mark.parametrize("n_servers", [5, 20, 80])
-def test_locate_throughput(benchmark, n_servers):
-    placement = ANUPlacement([f"s{i}" for i in range(n_servers)])
-    benchmark.extra_info["n_servers"] = n_servers
+def test_locate_throughput(benchmark):
+    placement = ANUPlacement([f"s{i}" for i in range(N_SERVERS)])
 
     def locate_all():
         for name in NAMES:
@@ -39,10 +31,9 @@ def test_locate_throughput(benchmark, n_servers):
     benchmark(locate_all)
 
 
-@pytest.mark.parametrize("n_servers", [5, 20, 80])
-def test_set_shares_cost(benchmark, n_servers):
+def test_set_shares_cost(benchmark):
     """One full rescale of every mapped region (the delegate's write path)."""
-    servers = [f"s{i}" for i in range(n_servers)]
+    servers = [f"s{i}" for i in range(N_SERVERS)]
     interval = MappedInterval(servers)
     weights_a = {s: 1.0 + (i % 7) for i, s in enumerate(servers)}
     weights_b = {s: 1.0 + ((i + 3) % 5) for i, s in enumerate(servers)}
@@ -72,17 +63,6 @@ def test_segments_query_cost(benchmark, n_servers):
         return total
 
     benchmark(query_all)
-
-
-def test_add_remove_server_cost(benchmark):
-    interval = MappedInterval([f"s{i}" for i in range(10)])
-
-    def cycle():
-        interval.add_server("extra")
-        interval.remove_server("extra")
-
-    benchmark(cycle)
-    interval.check_invariants()
 
 
 def test_lpt_assign_cost(benchmark):

@@ -1,41 +1,12 @@
-"""Microbenchmarks of the discrete-event engine itself.
+"""Microbenchmarks of engine and metrics paths no end-to-end workload times.
 
-The figure runs replay ~10^5–10^6 events; these benches record the
-engine's raw throughput so regressions in the substrate are visible
-independently of the algorithms running on it.
+The e2e benchmark times the calendar, facility, arrival pump and windowed
+latency reports on every workload; these two cases cover what it does
+not reach: schedule-then-cancel churn (the workloads cancel almost
+nothing) and the post-run tail summary (computed after the timed run).
 """
 
-from repro.sim import Engine, Facility
-
-
-def test_event_scheduling_throughput(benchmark):
-    """Schedule+fire cost of a bare event."""
-
-    def run_chunk():
-        engine = Engine()
-        for i in range(1000):
-            engine.schedule(float(i), lambda: None)
-        engine.run()
-
-    benchmark(run_chunk)
-
-
-def test_chained_event_throughput(benchmark):
-    """Self-rescheduling event chains (the arrival-pump pattern)."""
-
-    def run_chain():
-        engine = Engine()
-        remaining = [1000]
-
-        def tick():
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                engine.schedule(1.0, tick)
-
-        engine.schedule(0.0, tick)
-        engine.run()
-
-    benchmark(run_chain)
+from repro.sim import Engine
 
 
 def test_cancellation_heavy_timeout_pattern(benchmark):
@@ -77,55 +48,3 @@ def test_latency_tail_summary_cost(benchmark):
         return pooled, per_server
 
     benchmark(summarize)
-
-
-def test_latency_window_report_cost(benchmark):
-    """Per-server windowed interval reports (the delegate's read path)."""
-    from repro.metrics.latency import LatencyCollector
-
-    collector = LatencyCollector()
-    servers = [f"s{i}" for i in range(8)]
-    for i in range(50_000):
-        lat = ((i * 2654435761) % 1_000_003) / 1_000_003.0
-        collector.record(servers[i % 8], float(i) * 0.01, lat)
-    state = {"window": 0}
-
-    def report_window():
-        state["window"] = (state["window"] + 1) % 40
-        start = 10.0 * state["window"]
-        return collector.reports(servers, start, start + 10.0)
-
-    benchmark(report_window)
-
-
-def test_facility_queueing_throughput(benchmark):
-    """Request->serve->complete cycles through a FIFO facility."""
-
-    def run_queue():
-        engine = Engine()
-        fac = Facility(engine, "f")
-        for i in range(1000):
-            engine.schedule_at(float(i), fac.request, 0.5, lambda: None)
-        engine.run()
-
-    benchmark(run_queue)
-
-
-def test_cluster_simulation_events_per_second(benchmark):
-    """End-to-end events/s of a small cluster run (reported as extra)."""
-    from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
-    from repro.placement import RoundRobinPolicy
-    from repro.workloads import SyntheticConfig, generate_synthetic
-
-    trace = generate_synthetic(
-        SyntheticConfig(n_filesets=30, n_requests=5000, duration=500.0)
-    )
-    cfg = ClusterConfig(servers=paper_servers(), seed=0)
-
-    def run_sim():
-        sim = ClusterSimulation(cfg, RoundRobinPolicy(), trace)
-        sim.run()
-        return sim.engine.events_fired
-
-    events = benchmark(run_sim)
-    benchmark.extra_info["events_fired"] = events

@@ -1,36 +1,27 @@
-"""Microbenchmarks of the routing plane (:mod:`repro.runtime.routing`).
+"""Microbenchmarks of the latency-learning router.
 
-Routers sit on the per-request dispatch path of all three harness
-stacks, so their decision cost is a direct multiplier on simulation
-throughput:
-
-- raw ``choose`` cost per router (single / JSQ(d) / weighted JSQ(d));
-- JSQ(d) candidate sampling (the ``d < len(candidates)`` draw path);
-- EWMA observation folding for the latency-learning router;
-- end-to-end r=1 passthrough: the refactored dispatch with an explicit
-  ``SingleOwnerRouter`` must cost what the pre-refactor single-owner
-  dispatch cost (the 25 % gate on this case is the PR's "no tax on the
-  classic configuration" guarantee);
-- end-to-end r=2 + JSQ(2): what turning the routing plane on costs.
+The e2e benchmark times the other routing paths: JSQ(2) sampling over
+three owners (``fig6-r3-jsq2``), the JSQ full scan over two owners
+(``fs-ops-r2-jsq2``), and the r=1 passthrough that never calls a router
+(``fig6-r1``).  No workload runs ``WeightedPowerOfDRouter``, so its
+decision cost and its per-completion EWMA fold are pinned here.
 """
 
 import numpy as np
 
-from conftest import quick_mode
-
-from repro.runtime.routing import (
-    JSQRouter,
-    SingleOwnerRouter,
-    WeightedPowerOfDRouter,
-    make_router,
-)
+from repro.runtime.routing import WeightedPowerOfDRouter
 
 CANDIDATES = ["server0", "server1", "server2"]
 QUEUES = {"server0": 3, "server1": 1, "server2": 4}
 
 
-def _bench_choose(benchmark, router, n):
-    """Time n back-to-back routing decisions over a fixed candidate set."""
+def test_weighted_jsq_decision_cost(benchmark):
+    """Speed-normalized JSQ(2): sampling plus EWMA-scaled scoring."""
+    n = 1_000
+    router = WeightedPowerOfDRouter(d=2)
+    router.bind(np.random.default_rng(7))
+    for name in CANDIDATES:
+        router.observe(name, 0.5)
     queue_len = QUEUES.__getitem__
 
     def decide():
@@ -43,39 +34,9 @@ def _bench_choose(benchmark, router, n):
     assert 0 <= total <= 2 * n
 
 
-def test_single_router_decision_cost(benchmark):
-    """The r=1 passthrough decision: must be a constant return."""
-    n = 20_000 if quick_mode() else 200_000
-    _bench_choose(benchmark, SingleOwnerRouter(), n)
-
-
-def test_jsq_full_scan_decision_cost(benchmark):
-    """JSQ with d >= candidates: queue scan, no sampling draw."""
-    n = 10_000 if quick_mode() else 100_000
-    _bench_choose(benchmark, JSQRouter(d=3), n)
-
-
-def test_jsq_sampled_decision_cost(benchmark):
-    """JSQ(2) over 3 candidates: the distinct-pair sampling path."""
-    n = 10_000 if quick_mode() else 100_000
-    router = JSQRouter(d=2)
-    router.bind(np.random.default_rng(7))
-    _bench_choose(benchmark, router, n)
-
-
-def test_weighted_jsq_decision_cost(benchmark):
-    """Speed-normalized JSQ(2): sampling plus EWMA-scaled scoring."""
-    n = 10_000 if quick_mode() else 100_000
-    router = WeightedPowerOfDRouter(d=2)
-    router.bind(np.random.default_rng(7))
-    for name in CANDIDATES:
-        router.observe(name, 0.5)
-    _bench_choose(benchmark, router, n)
-
-
 def test_observe_ewma_cost(benchmark):
     """Latency-observation folding (runs on every request completion)."""
-    n = 20_000 if quick_mode() else 200_000
+    n = 20_000
     router = WeightedPowerOfDRouter(d=2)
 
     def observe():
@@ -85,47 +46,3 @@ def test_observe_ewma_cost(benchmark):
 
     ewma = benchmark(observe)
     assert len(ewma) == 3
-
-
-def _cluster_run(router, replication):
-    from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
-    from repro.placement import ANUPolicy, ReplicatedPolicy
-    from repro.workloads import SyntheticConfig, generate_synthetic
-
-    n = 800 if quick_mode() else 4_000
-    trace = generate_synthetic(
-        SyntheticConfig(n_filesets=30, n_requests=n, duration=1000.0, seed=7)
-    )
-    config = ClusterConfig(
-        servers=paper_servers(), tuning_interval=120.0, seed=7
-    )
-    policy = (ReplicatedPolicy(ANUPolicy(), replication)
-              if replication > 1 else ANUPolicy())
-    return ClusterSimulation(
-        config, policy, trace, router=router, replication=replication
-    ), n
-
-
-def test_cluster_r1_passthrough_overhead(benchmark):
-    """End-to-end dispatch with SingleOwnerRouter + r=1.
-
-    This is the refactored equivalent of the pre-refactor single-owner
-    run; the regression gate on this case bounds the routing-plane tax
-    on the classic configuration.
-    """
-    def run():
-        sim, n = _cluster_run(SingleOwnerRouter(), 1)
-        return sim.run(), n
-
-    result, n = benchmark(run)
-    assert sum(result.completed.values()) == n
-
-
-def test_cluster_r2_jsq_dispatch_cost(benchmark):
-    """End-to-end dispatch with the routing plane on (r=2, JSQ(2))."""
-    def run():
-        sim, n = _cluster_run(make_router("jsq2"), 2)
-        return sim.run(), n
-
-    result, n = benchmark(run)
-    assert sum(result.completed.values()) == n

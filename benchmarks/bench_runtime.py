@@ -1,165 +1,21 @@
-"""Microbenchmarks of the shared simulation runtime (:mod:`repro.runtime`).
+"""Microbenchmark of :class:`~repro.runtime.telemetry.JsonlSink`.
 
-Every harness (queueing cluster, timed full system, message protocol) now
-routes its delegate rounds, arrival scheduling, and result summaries
-through one core; these benches pin that core's hot paths so regressions
-surface independently of any one harness:
-
-- the :class:`~repro.runtime.loop.TuningLoop` round cadence itself
-  (context build -> decide -> reschedule, with the decision stubbed out);
-- telemetry-sink overhead: the same seeded cluster run with the default
-  null sink versus an in-memory sink, asserting the event stream is
-  purely observational (bit-identical summaries either way);
-- :class:`~repro.runtime.telemetry.JsonlSink` serialization throughput;
-- :class:`~repro.runtime.arrivals.ArrivalPump` lazy-chain throughput.
-
-The null-sink path is additionally gated end-to-end: the pre-refactor
-``micro_sim`` baseline times a full ``ClusterSimulation`` run, so any
-measurable overhead from the telemetry guard would breach that suite's
-25% gate.
+The e2e benchmark times the rest of the shared runtime: the tuning loop
+(``synth-2k-t10``), the arrival pump and the null-sink path
+(``fig6-r1``), and record emission through a ``DigestSink``
+(``fig6-limp-digest``).  No workload writes JSONL, so its
+serialize-and-write cost per record is pinned here.
 """
 
 import io
-import time
 
-from conftest import quick_mode
-
-from repro.core.tuning import ServerReport
-from repro.placement.base import TuningContext
-from repro.runtime import (
-    ArrivalPump,
-    JsonlSink,
-    MemorySink,
-    TuningLoop,
-)
+from repro.runtime import JsonlSink
 from repro.runtime.telemetry import RequestCompleted
-from repro.sim import Engine
-from repro.sim.rng import StreamFactory
-
-
-class _SyntheticHost:
-    """A minimal :class:`~repro.runtime.loop.TuningHost`.
-
-    Builds realistic-size contexts (8 servers, 64 file sets, fresh report
-    lists each round) but decides "no change", so the bench isolates the
-    loop's own cost: scheduling, context assembly, history tracking.
-    """
-
-    def __init__(self, n_servers: int = 8, n_filesets: int = 64) -> None:
-        self.servers = [f"s{i}" for i in range(n_servers)]
-        self.filesets = [f"fs{i:03d}" for i in range(n_filesets)]
-        self.assignment = {
-            fs: self.servers[i % n_servers] for i, fs in enumerate(self.filesets)
-        }
-        self.rng = StreamFactory(3).stream("bench-host")
-        self.realized = 0
-
-    def build_tuning_context(self, now, interval, previous_reports):
-        reports = [
-            ServerReport(name=s, mean_latency=0.01 * (i + 1), request_count=100)
-            for i, s in enumerate(self.servers)
-        ]
-        return TuningContext(
-            time=now,
-            filesets=self.filesets,
-            servers=self.servers,
-            assignment=self.assignment,
-            reports=reports,
-            previous_reports=previous_reports,
-            rng=self.rng,
-        )
-
-    def decide(self, context):
-        return None, None
-
-    def realize(self, old, new):
-        self.realized += 1
-
-    def membership_assignment(self):
-        raise NotImplementedError
-
-
-def test_tuning_loop_round_cost(benchmark):
-    """Cost of N no-change delegate rounds through the shared loop."""
-    rounds = 200 if quick_mode() else 1000
-
-    def run_rounds():
-        engine = Engine()
-        host = _SyntheticHost()
-        loop = TuningLoop(
-            engine, interval=10.0, duration=10.0 * rounds, host=host
-        )
-        loop.start(10.0)
-        engine.run()
-        return loop.rounds
-
-    ran = benchmark(run_rounds)
-    assert ran == rounds
-
-
-def _cluster_run(telemetry=None):
-    from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
-    from repro.placement.anu_policy import ANUPolicy
-    from repro.workloads import SyntheticConfig, generate_synthetic
-
-    n = 200 if quick_mode() else 600
-    trace = generate_synthetic(
-        SyntheticConfig(n_filesets=60, n_requests=n, duration=300.0, seed=5)
-    )
-    config = ClusterConfig(
-        servers=paper_servers(), tuning_interval=30.0, seed=5
-    )
-    sim = ClusterSimulation(config, ANUPolicy(), trace, telemetry=telemetry)
-    return sim.run()
-
-
-def test_cluster_run_null_sink(benchmark):
-    """Adapter hot path with telemetry off (the default null sink)."""
-    result = benchmark(_cluster_run)
-    assert result.total_requests > 0
-
-
-def test_cluster_run_memory_sink_overhead(benchmark):
-    """Same seeded run streaming telemetry into a memory sink.
-
-    Asserts the stream is observational: the instrumented run's summary is
-    bit-identical to a silent run's, and the wall-clock overhead of
-    recording every event stays within a loose CI-noise bound.
-    """
-    silent = _cluster_run()
-    sink = MemorySink()
-    result = _cluster_run(telemetry=sink)
-    benchmark(lambda: _cluster_run(telemetry=MemorySink()))
-    assert result.summary() == silent.summary()
-    counts = sink.counts()
-    assert counts["arrival"] == result.total_requests
-    assert counts["completion"] == result.total_requests
-    assert counts["tuning"] == result.tuning_rounds
-
-    # Rough paired timing (median of 3) just for the printed record; the
-    # regression gate is the per-case median above.
-    def median_time(fn):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[1]
-
-    base = median_time(_cluster_run)
-    instr = median_time(lambda: _cluster_run(telemetry=MemorySink()))
-    overhead = (instr - base) / base * 100.0
-    print(
-        f"\ntelemetry overhead: null-sink {base * 1000:.1f}ms, "
-        f"memory-sink {instr * 1000:.1f}ms ({overhead:+.1f}%), "
-        f"{sum(counts.values())} records"
-    )
-    assert instr < base * 2.0, "full event capture should cost <2x the silent run"
 
 
 def test_jsonl_sink_throughput(benchmark):
     """Serialize-and-write cost per telemetry record (JSONL sink)."""
-    n = 2_000 if quick_mode() else 20_000
+    n = 2_000
 
     def write_stream():
         buf = io.StringIO()
@@ -174,26 +30,3 @@ def test_jsonl_sink_throughput(benchmark):
 
     written = benchmark(write_stream)
     assert written > 0
-
-
-def test_arrival_pump_throughput(benchmark):
-    """Lazy-chained arrival delivery of a 10k-item stream."""
-    n = 1_000 if quick_mode() else 10_000
-    items = [(float(i) * 0.01, i) for i in range(n)]
-
-    def pump_all():
-        engine = Engine()
-        seen = [0]
-
-        def on_arrival(item):
-            seen[0] += 1
-
-        pump = ArrivalPump(
-            engine, iter(items), on_arrival, time_of=lambda it: it[0]
-        )
-        pump.start()
-        engine.run()
-        return pump.delivered
-
-    delivered = benchmark(pump_all)
-    assert delivered == n

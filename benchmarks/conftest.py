@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Benchmarks run the paper's experiments at full published scale by default;
-set ``REPRO_BENCH_QUICK=1`` to run the same shapes at reduced scale (CI).
-Each figure bench prints the series/rows the paper's figure plots, so
+The figure and ablation drivers (``bench_fig*``, ``bench_abl*``) run the
+paper's experiments at full published scale by default; set
+``REPRO_BENCH_QUICK=1`` to run the same shapes at reduced scale.  Each
+figure bench prints the series/rows the paper's figure plots, so
 ``pytest benchmarks/ --benchmark-only`` output doubles as the reproduction
-record (EXPERIMENTS.md quotes it).
+record (EXPERIMENTS.md quotes it).  The gated microbenchmark suites
+(``repro-bench``) have one size and do not read it.
 """
 
 from __future__ import annotations

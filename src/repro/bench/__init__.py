@@ -1,7 +1,7 @@
 """Persistent benchmark-regression harness (``repro-bench``).
 
-Discovers the pytest-style suites under ``benchmarks/``, runs them with
-pinned seeds, warmup, and median-of-k timing, emits schema-versioned
+Loads the gated pytest-style suites under ``benchmarks/``, runs them with
+warmup and median-of-k timing, emits schema-versioned
 ``BENCH_<suite>.json`` documents at the repo root, and gates against the
 committed baselines in ``benchmarks/baselines/`` — see
 :mod:`repro.bench.cli` for the command-line surface and
@@ -9,9 +9,9 @@ committed baselines in ``benchmarks/baselines/`` — see
 """
 
 from .discovery import (
+    SUITES,
     BenchCase,
     CaseResult,
-    DEFAULT_SUITES,
     DiscoveryError,
     collect_cases,
     discover_suites,
@@ -19,7 +19,7 @@ from .discovery import (
     run_suite,
 )
 from .report import (
-    DEFAULT_GATE,
+    GATE,
     SCHEMA_VERSION,
     Comparison,
     GateResult,
@@ -36,12 +36,12 @@ __all__ = [
     "BenchTimer",
     "CaseResult",
     "Comparison",
-    "DEFAULT_GATE",
-    "DEFAULT_SUITES",
     "DiscoveryError",
+    "GATE",
     "GateResult",
     "ReportError",
     "SCHEMA_VERSION",
+    "SUITES",
     "TimerConfig",
     "TimingStats",
     "build_document",

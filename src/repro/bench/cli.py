@@ -1,19 +1,19 @@
 """``repro-bench`` — the persistent benchmark-regression harness.
 
-Runs the hot-path benchmark suites with pinned seeds, warmup, and
-median-of-k timing, writes one schema-versioned ``BENCH_<suite>.json``
-per suite at the repo root, and compares medians against the committed
-baselines under ``benchmarks/baselines/`` with a configurable slowdown
-gate (default: fail at >25%).
+Runs the gated microbenchmark suites — the paths the e2e benchmark
+(``benchmarks/e2e/``) does not time — with warmup and median-of-k
+timing, writes one schema-versioned ``BENCH_<suite>.json`` per suite at
+the repo root, and compares medians against the committed baselines
+under ``benchmarks/baselines/`` (fail at a >25% slowdown).  There is one
+size and one mode: a gated run times exactly the workload its baseline
+timed.
 
 Usage examples::
 
-    repro-bench                       # run micro_core, micro_sim, fs_substrate
-    repro-bench --quick               # CI-sized rounds (and REPRO_BENCH_QUICK=1)
+    repro-bench                       # run and gate every suite
     repro-bench --suites micro_sim    # one suite
-    repro-bench --gate 40             # relax the gate to +40%
     repro-bench --update-baseline     # refresh benchmarks/baselines/*.json
-    repro-bench --list                # show discoverable suites
+    repro-bench --list                # show the gated suites
 
 Exit status: 0 on success, 1 on a gate breach, 2 on usage or discovery
 errors.
@@ -34,14 +34,12 @@ from pathlib import Path
 
 from .. import contracts
 from .discovery import (
-    DEFAULT_SUITES,
     DiscoveryError,
     discover_suites,
     find_benchmarks_dir,
     run_suite,
 )
 from .report import (
-    DEFAULT_GATE,
     ReportError,
     build_document,
     compare,
@@ -59,38 +57,12 @@ _REEXEC_VAR = "REPRO_BENCH_REEXEC"
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="hot-path benchmark runner with a baseline regression gate",
+        description="microbenchmark gate for the paths the e2e benchmark does not time",
     )
     parser.add_argument(
         "--suites",
-        default=",".join(DEFAULT_SUITES),
-        help="comma-separated suite names, or 'all' (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced-scale CI mode: fewer/shorter rounds, REPRO_BENCH_QUICK=1",
-    )
-    parser.add_argument(
-        "--rounds", type=int, default=None, help="timed rounds per case (median-of-k)"
-    )
-    parser.add_argument(
-        "--warmup", type=int, default=None, help="untimed warmup rounds per case"
-    )
-    parser.add_argument(
-        "--min-round-ms",
-        type=float,
         default=None,
-        help="minimum duration of one timed round, in milliseconds",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload seed recorded in the report"
-    )
-    parser.add_argument(
-        "--gate",
-        type=float,
-        default=DEFAULT_GATE * 100,
-        help="max tolerated median slowdown, percent (default: %(default)s)",
+        help="comma-separated suite names (default: every gated suite)",
     )
     parser.add_argument(
         "--no-gate",
@@ -127,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
         help="runtime-contract mode for the measured code (default: off)",
     )
     parser.add_argument(
-        "--list", action="store_true", help="list discoverable suites and exit"
+        "--list", action="store_true", help="list the gated suites and exit"
     )
     return parser
 
@@ -154,27 +126,10 @@ def _ensure_contract_mode(desired: str, argv: list[str]) -> None:
     )
 
 
-def _timer_config(args: argparse.Namespace) -> TimerConfig:
-    """Resolve timing knobs: explicit flags beat the quick/full defaults."""
-    if args.quick:
-        rounds, warmup, min_round_ns = 3, 1, 5_000_000
-    else:
-        rounds, warmup, min_round_ns = 5, 1, 20_000_000
-    if args.rounds is not None:
-        rounds = args.rounds
-    if args.warmup is not None:
-        warmup = args.warmup
-    if args.min_round_ms is not None:
-        min_round_ns = int(args.min_round_ms * 1_000_000)
-    return TimerConfig(
-        warmup_rounds=warmup, rounds=rounds, min_round_ns=min_round_ns
-    )
-
-
 def _select_suites(
-    requested: str, available: dict[str, Path]
+    requested: str | None, available: dict[str, Path]
 ) -> dict[str, Path]:
-    if requested.strip().lower() == "all":
+    if requested is None:
         return dict(available)
     names = [s.strip() for s in requested.split(",") if s.strip()]
     missing = [s for s in names if s not in available]
@@ -194,10 +149,8 @@ def main(argv: list[str] | None = None) -> int:
         bench_dir = bench_dir.resolve()
         available = discover_suites(bench_dir)
         if args.list:
-            for name, path in sorted(available.items()):
-                marker = "*" if name in DEFAULT_SUITES else " "
-                print(f" {marker} {name:32s} {path.name}")
-            print(" (* = run by default)")
+            for name, path in available.items():
+                print(f"  {name:32s} {path.name}")
             return 0
         _ensure_contract_mode(args.contracts, raw_argv)
         selected = _select_suites(args.suites, available)
@@ -208,16 +161,13 @@ def main(argv: list[str] | None = None) -> int:
     repo_root = bench_dir.parent
     output_dir = (args.output_dir or repo_root).resolve()
     baseline_dir = (args.baseline_dir or bench_dir / "baselines").resolve()
-    config = _timer_config(args)
-    gate = args.gate / 100.0
-    if args.quick:
-        os.environ["REPRO_BENCH_QUICK"] = "1"
+    config = TimerConfig()
 
     failures = 0
     for name, path in selected.items():
         print(f"== suite {name} ({path.name}) ==")
         try:
-            results = run_suite(path, config, quick=args.quick)
+            results = run_suite(path, config)
         except DiscoveryError as exc:
             print(f"repro-bench: {exc}", file=sys.stderr)
             return 2
@@ -225,8 +175,6 @@ def main(argv: list[str] | None = None) -> int:
             name,
             results,
             config=config,
-            seed=args.seed,
-            quick=args.quick,
             contracts=args.contracts,
             rev=git_rev(repo_root),
         )
@@ -240,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"   wrote {out_path}")
         baseline_path = baseline_dir / f"BENCH_{name}.json"
         if args.update_baseline:
-            baseline_dir.mkdir(parents=True, exist_ok=True)
             write_document(document, baseline_path)
             print(f"   baseline refreshed: {baseline_path}")
             continue
@@ -250,11 +197,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"   no baseline at {baseline_path}; gate skipped")
             continue
         try:
-            verdict = compare(document, load_document(baseline_path), gate)
+            verdict = compare(document, load_document(baseline_path))
         except ReportError as exc:
             print(f"repro-bench: {exc}", file=sys.stderr)
             return 2
-        print(format_gate_result(verdict, gate))
+        print(format_gate_result(verdict))
         if not verdict.passed:
             failures += 1
     return 1 if failures else 0

@@ -1,17 +1,18 @@
 """Discovery and execution of the ``benchmarks/bench_*.py`` suites.
 
-The benchmark suites are plain pytest-style modules: functions named
-``test_*`` taking a ``benchmark`` fixture (and, for the figure suites, a
-``quick`` flag), optionally stacked with ``@pytest.mark.parametrize``.
-This module loads those files *without* pytest: it imports each suite by
-path, expands parametrize marks into concrete cases, and injects a
-:class:`repro.bench.timing.BenchTimer` for the ``benchmark`` parameter —
-so the exact same suite files serve both ``pytest benchmarks/`` (rich
-interactive output) and ``repro-bench`` (schema-versioned regression
-JSON).
+The gated suites are plain pytest-style modules: functions named
+``test_*`` taking a ``benchmark`` fixture, optionally stacked with
+``@pytest.mark.parametrize``.  This module loads those files *without*
+pytest: it imports each suite by path, expands parametrize marks into
+concrete cases, and injects a :class:`repro.bench.timing.BenchTimer` for
+the ``benchmark`` parameter — so the exact same suite files serve both
+``pytest benchmarks/`` (rich interactive output) and ``repro-bench``
+(schema-versioned regression JSON).
 
 Naming convention: suite ``micro_core`` lives in
 ``benchmarks/bench_micro_core.py`` and emits ``BENCH_micro_core.json``.
+The figure and ablation drivers (``bench_fig*``, ``bench_abl*``) are not
+gates: they run only under pytest.
 """
 
 from __future__ import annotations
@@ -26,21 +27,17 @@ from typing import Any, Callable, Iterator
 
 from .timing import BenchTimer, TimerConfig
 
-#: Suites run (and gated) by default: the hot-path microbenchmarks.
-DEFAULT_SUITES = (
+#: The gated suites: microbenchmarks of paths the e2e benchmark
+#: (``benchmarks/e2e/``) does not time.
+SUITES = (
     "micro_core",
     "micro_sim",
-    "fs_substrate",
     "runtime",
     "membership",
     "routing",
     "dsan",
     "sweep",
 )
-
-#: Fixture names the runner can inject, beyond parametrized arguments.
-_INJECTABLE = ("benchmark", "quick")
-
 
 class DiscoveryError(RuntimeError):
     """Raised when a suite file cannot be found, loaded, or executed."""
@@ -86,13 +83,11 @@ def find_benchmarks_dir(start: Path | None = None) -> Path:
 
 
 def discover_suites(bench_dir: Path) -> dict[str, Path]:
-    """Map suite name -> file for every ``bench_*.py`` under ``bench_dir``."""
-    suites = {
-        path.stem.removeprefix("bench_"): path
-        for path in sorted(bench_dir.glob("bench_*.py"))
-    }
-    if not suites:
-        raise DiscoveryError(f"no bench_*.py files under {bench_dir}")
+    """Map each gated suite name to its ``bench_<name>.py`` under ``bench_dir``."""
+    suites = {name: bench_dir / f"bench_{name}.py" for name in SUITES}
+    missing = sorted(p.name for p in suites.values() if not p.is_file())
+    if missing:
+        raise DiscoveryError(f"suite file(s) {missing} missing under {bench_dir}")
     return suites
 
 
@@ -169,9 +164,7 @@ def collect_cases(module: ModuleType) -> list[BenchCase]:
     return cases
 
 
-def run_case(
-    case: BenchCase, config: TimerConfig, quick: bool
-) -> CaseResult:
+def run_case(case: BenchCase, config: TimerConfig) -> CaseResult:
     """Execute one case with an injected timer; returns its statistics."""
     timer = BenchTimer(config)
     kwargs: dict[str, Any] = dict(case.params)
@@ -181,12 +174,10 @@ def run_case(
             continue
         if param.name == "benchmark":
             kwargs[param.name] = timer
-        elif param.name == "quick":
-            kwargs[param.name] = quick
         elif param.default is inspect.Parameter.empty:
             raise DiscoveryError(
                 f"{case.name}: cannot inject fixture {param.name!r} "
-                f"(supported: {', '.join(_INJECTABLE)})"
+                "(only 'benchmark' is supported)"
             )
     case.func(**kwargs)
     if timer.stats is None:
@@ -201,9 +192,7 @@ def run_case(
     )
 
 
-def run_suite(
-    path: Path, config: TimerConfig, quick: bool = False
-) -> list[CaseResult]:
+def run_suite(path: Path, config: TimerConfig) -> list[CaseResult]:
     """Load one suite file and run every case it defines."""
     module = load_suite_module(path)
-    return [run_case(case, config, quick) for case in collect_cases(module)]
+    return [run_case(case, config) for case in collect_cases(module)]

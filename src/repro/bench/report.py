@@ -1,21 +1,19 @@
 """Schema-versioned benchmark reports and the regression gate.
 
 ``repro-bench`` emits one ``BENCH_<suite>.json`` per suite at the repo
-root.  The document schema (``SCHEMA_VERSION`` = 1) is::
+root.  The document schema (``SCHEMA_VERSION`` = 2) is::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "suite": "micro_core",
       "git_rev": "9e49477",          # short HEAD, "unknown" outside git
-      "seed": 0,                      # pinned workload seed, recorded
-      "quick": false,                 # reduced-scale (CI) mode
       "contracts": "off",             # runtime-contract state during the run
       "python": "3.12.3",
-      "timer": {"warmup_rounds": 1, "rounds": 5, "min_round_ns": ...},
+      "timer": {"warmup_rounds": 1, "rounds": 9, "min_round_ns": ...},
       "results": [
-        {"name": "test_locate_throughput[n_servers=20]",
+        {"name": "test_segments_query_cost[n_servers=20]",
          "median_ns": ..., "mean_ns": ..., "stddev_ns": ...,
-         "min_ns": ..., "max_ns": ..., "rounds": 5, "iterations": 128,
+         "min_ns": ..., "max_ns": ..., "rounds": 9, "iterations": 128,
          "params": {"n_servers": 20}, "extra_info": {}}
       ]
     }
@@ -23,7 +21,7 @@ root.  The document schema (``SCHEMA_VERSION`` = 1) is::
 The *median* is the comparison statistic; stddev/min/max record
 dispersion.  :func:`compare` matches current results to a committed
 baseline by case name and flags every case whose median slowed down by
-more than the gate threshold (default 25%).  Baselines live in
+more than the 25% gate.  Baselines live in
 ``benchmarks/baselines/`` and are refreshed with
 ``repro-bench --update-baseline`` (see CONTRIBUTING.md).
 """
@@ -40,11 +38,12 @@ from typing import Any
 from .discovery import CaseResult
 from .timing import TimerConfig
 
-#: Version of the BENCH_*.json document layout.
-SCHEMA_VERSION = 1
+#: Version of the BENCH_*.json document layout.  Version 2 dropped the
+#: ``seed`` and ``quick`` fields: every gated run times the full workload.
+SCHEMA_VERSION = 2
 
-#: Default regression gate: fail when median_ns grows by more than 25%.
-DEFAULT_GATE = 0.25
+#: The regression gate: fail when median_ns grows by more than 25%.
+GATE = 0.25
 
 
 class ReportError(ValueError):
@@ -73,8 +72,6 @@ def build_document(
     results: list[CaseResult],
     *,
     config: TimerConfig,
-    seed: int,
-    quick: bool,
     contracts: str,
     rev: str,
 ) -> dict[str, Any]:
@@ -83,8 +80,6 @@ def build_document(
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
         "git_rev": rev,
-        "seed": seed,
-        "quick": quick,
         "contracts": contracts,
         "python": platform.python_version(),
         "timer": {
@@ -101,6 +96,7 @@ def build_document(
 
 def write_document(document: dict[str, Any], path: Path) -> None:
     """Write a report document as stable, diff-friendly JSON."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
@@ -133,9 +129,10 @@ class Comparison:
         """current / baseline median (>1 means slower)."""
         return self.current_ns / self.baseline_ns if self.baseline_ns > 0 else 1.0
 
-    def breaches(self, gate: float) -> bool:
-        """Whether this case slowed past the gate threshold."""
-        return self.ratio > 1.0 + gate
+    @property
+    def regressed(self) -> bool:
+        """Whether this case slowed past the gate."""
+        return self.ratio > 1.0 + GATE
 
 
 @dataclass(frozen=True)
@@ -154,18 +151,12 @@ class GateResult:
         return not self.regressions
 
 
-def compare(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    gate: float = DEFAULT_GATE,
-) -> GateResult:
+def compare(current: dict[str, Any], baseline: dict[str, Any]) -> GateResult:
     """Match cases by name and apply the slowdown gate to medians.
 
     Cases present on only one side are reported (new benchmarks appear,
     retired ones disappear) but never fail the gate by themselves.
     """
-    if gate < 0:
-        raise ReportError(f"gate threshold must be >= 0, got {gate}")
     cur = {r["name"]: r for r in current["results"]}
     base = {r["name"]: r for r in baseline["results"]}
     compared = [
@@ -175,17 +166,17 @@ def compare(
     return GateResult(
         suite=str(current.get("suite", "?")),
         compared=compared,
-        regressions=[c for c in compared if c.breaches(gate)],
+        regressions=[c for c in compared if c.regressed],
         only_current=sorted(set(cur) - set(base)),
         only_baseline=sorted(set(base) - set(cur)),
     )
 
 
-def format_gate_result(result: GateResult, gate: float) -> str:
+def format_gate_result(result: GateResult) -> str:
     """Human-readable one-suite gate summary for the CLI."""
     lines = [f"suite {result.suite}: {len(result.compared)} case(s) compared"]
     for c in result.compared:
-        verdict = "REGRESSION" if c.breaches(gate) else "ok"
+        verdict = "REGRESSION" if c.regressed else "ok"
         lines.append(
             f"  {verdict:>10}  {c.name}: {c.baseline_ns:,.0f} -> "
             f"{c.current_ns:,.0f} ns ({c.ratio:.2f}x)"
@@ -196,7 +187,7 @@ def format_gate_result(result: GateResult, gate: float) -> str:
         lines.append(f"  {'missing':>10}  {name}: in baseline only")
     status = "PASS" if result.passed else "FAIL"
     lines.append(
-        f"  gate {status} at +{gate * 100:.0f}% "
+        f"  gate {status} at +{GATE * 100:.0f}% "
         f"({len(result.regressions)} regression(s))"
     )
     return "\n".join(lines)

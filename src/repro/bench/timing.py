@@ -40,10 +40,10 @@ class TimerConfig:
     #: Untimed rounds executed before measurement starts.
     warmup_rounds: int = 1
     #: Timed rounds; the headline statistic is their median.
-    rounds: int = 5
+    rounds: int = 9
     #: Minimum duration of one timed round, in nanoseconds.  Fast targets
     #: are looped ``iterations`` times per round to reach this floor.
-    min_round_ns: int = 20_000_000
+    min_round_ns: int = 50_000_000
     #: Upper bound on the calibrated per-round iteration count.
     max_iterations: int = 1_000_000
 
@@ -144,9 +144,9 @@ class BenchTimer:
     ) -> Any:
         """Time ``fn`` with explicitly pinned rounds/iterations.
 
-        Mirrors ``benchmark.pedantic`` — used by the figure suites (via
-        ``benchmarks/conftest.run_once``) to run expensive experiments
-        exactly once, with no calibration loop.
+        Mirrors ``benchmark.pedantic``: a case that needs a different
+        number of rounds than :class:`TimerConfig` gives pins them here,
+        with no calibration loop.
         """
         kw = dict(kwargs or {})
         result: Any = None

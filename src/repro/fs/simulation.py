@@ -140,7 +140,6 @@ class FullSystemSimulation:
         self.collector = LatencyCollector()
         for name in config.server_speeds:
             self.collector.ensure_server(name)
-        self.ops_completed = 0
         self.ops_failed = 0
         self.moves = 0
         self.moves_started = 0
@@ -227,9 +226,7 @@ class FullSystemSimulation:
                 self.router.observe(server, self.engine.now - arrival)
             self.collector.record(server, self.engine.now, wait)
             self.completed[server] += 1
-            if result.ok:
-                self.ops_completed += 1
-            else:
+            if not result.ok:
                 self.ops_failed += 1
                 self.failures.append((op, result.error or "?"))
             if sink.enabled:

@@ -10,8 +10,8 @@ Telemetry is strictly *observational*: emitting a record draws no random
 numbers and schedules no events, so enabling a sink never perturbs a
 seeded replay.  The default :data:`NULL_SINK` is disabled; harness code
 guards every emission with ``if sink.enabled:`` so a silent run skips even
-record construction and stays within measurement noise of the
-pre-telemetry hot path (gated by ``benchmarks/bench_runtime.py``).
+record construction; ``telemetry.records_per_req`` stays 0 on the e2e
+benchmark's NullSink workloads (``benchmarks/e2e/``).
 
 Sinks:
 

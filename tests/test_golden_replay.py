@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from repro.cluster.protocol_driver import ProtocolDrivenCluster
-from repro.runtime import MemorySink
+from repro.runtime import DigestSink, MemorySink
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -148,6 +148,8 @@ def test_cluster_telemetry_does_not_perturb_replay():
     # moves can start from the fault path's re-route as well as tuning;
     # every started move must be in the stream.
     assert counts["move-start"] >= observed.moves_started
+    # The sanitizer's sink, which hashes every record, is as observational.
+    _assert_matches(cg.cluster_golden(run(DigestSink())), "cluster_anu_faults_seed5")
 
 
 def test_full_system_telemetry_does_not_perturb_replay():

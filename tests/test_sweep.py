@@ -25,7 +25,7 @@ from repro.sweep import (
     register_process_cache,
     run_sweep,
 )
-from repro.sweep.worker import run_cell
+from repro.sweep.worker import _scenario_for, run_cell
 
 #: Small-but-real grid: 2 policies x 3 seeds at the quick cell size.
 QUICK = {"n_filesets": 12, "n_requests": 60, "duration": 120.0,
@@ -192,6 +192,16 @@ def test_run_cell_is_deterministic_and_validates_params():
     bad = Cell.build(seed=3, params={"policy": "anu", "bogus": 1}).payload()
     with pytest.raises(ValueError):
         run_cell(bad)
+
+
+def test_worker_summary_matches_bare_scenario():
+    # run_cell adds bookkeeping around Scenario, never work: the worker's
+    # summary is exactly what a bare seeded scenario run produces.
+    cell = quick_spec().build_plan().cells[0]
+    row = run_cell(cell.payload())
+    result = _scenario_for(cell.seed, cell.params_dict).run_cluster()
+    assert row["summary"]["mean_latency"] == result.mean_latency
+    assert row["summary"]["completed"] == result.completed
 
 
 def test_clear_process_caches_resets_interval_segment_cache():
