@@ -5,8 +5,8 @@ Run:  python examples/parallel_sweep.py
 The paper's evaluation is a grid: every placement policy crossed with
 many seeds, each cell one full simulation.  :mod:`repro.sweep` turns
 that grid into a *plan* — cells with content-derived ids, canonically
-ordered — and runs it under a pluggable executor (in-process, a spawn
-``multiprocessing.Pool``, or ``concurrent.futures``).  Because workers
+ordered — and runs it in-process or on a spawn
+``multiprocessing.Pool``.  Because workers
 share no process state, exchange only plain dicts, and the merge is
 keyed by cell id rather than completion order (properties CI's
 ``sweep-smoke`` job checks by comparing serial and process-pool output

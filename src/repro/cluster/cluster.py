@@ -20,9 +20,11 @@ Timeline of one run:
   recovery moves.
 
 Since the ``repro.runtime`` refactor this class is a thin adapter: arrival
-scheduling, tuning cadence, report history, and membership handling come
-from :class:`repro.runtime.loop.TuningLoop` /
-:class:`repro.runtime.arrivals.ArrivalPump`; this module contributes only
+scheduling, tuning cadence, and membership handling come from
+:class:`repro.runtime.loop.TuningLoop` /
+:class:`repro.runtime.arrivals.ArrivalPump` /
+:class:`repro.membership.director.MembershipDirector` (the policy owns
+its delegate's report history); this module contributes only
 what is specific to the queueing model (server facilities, the file-set
 mover, fault realization).  A structured telemetry stream
 (:mod:`repro.runtime.telemetry`) reports arrivals, dispatches,
@@ -36,11 +38,11 @@ telemetry is purely observational.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..contracts import checks_invariants
 from ..core.movement import MovementLedger, diff_assignment
-from ..core.tuning import ServerReport, TuningDecision
+from ..core.tuning import TuningDecision
 from ..membership.director import MembershipDirector
 from ..membership.faults import FaultEvent, FaultSchedule
 from ..membership.lifecycle import MembershipRoster
@@ -409,12 +411,7 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
     # Tuning rounds (TuningHost protocol, driven by self.loop)
     # ------------------------------------------------------------------
-    def build_tuning_context(
-        self,
-        now: float,
-        interval: float,
-        previous_reports: Sequence[ServerReport] | None,
-    ) -> TuningContext:
+    def build_tuning_context(self, now: float, interval: float) -> TuningContext:
         """This round's context: live servers, window reports, oracle."""
         live = self.live_servers
         return TuningContext(
@@ -423,7 +420,6 @@ class ClusterSimulation:
             servers=live,
             assignment=self.planned_assignment(),
             reports=self.collector.reports(live, now - interval, now),
-            previous_reports=previous_reports,
             # Nominal spec speeds, deliberately NOT effective speeds: a
             # gray failure is invisible to the policies — speed-aware
             # ones (prescient, two-choice) keep planning with the
@@ -471,9 +467,6 @@ class ClusterSimulation:
         # Replica slots follow the new primary plan instantly: shared disk
         # means a replica-slot change is a routing-table update, not a move.
         self._refresh_replicas()
-
-    #: Backwards-compatible alias (pre-runtime name, used by older drivers).
-    _realize = realize
 
     def _on_move_done(
         self, state: FileSetState, drained: list[MetadataRequest]
@@ -548,7 +541,6 @@ class ClusterSimulation:
     def delegate_failover(self, now: Seconds) -> None:
         """The tuning delegate fails over: history dies with it (the
         queueing model elects no concrete node, so no server crashes)."""
-        self.loop.reset_history()
         fail_delegate = getattr(self.policy, "fail_delegate", None)
         if fail_delegate is not None:
             fail_delegate()
@@ -563,10 +555,6 @@ class ClusterSimulation:
         )
         validate_assignment(new, self.trace.fileset_names, live)
         return old, new
-
-    def reset_round_history(self) -> None:
-        """Latency history straddles the change; the next round is fresh."""
-        self.loop.reset_history()
 
     def realize_membership(
         self, old: dict[str, str], new: dict[str, str], now: Seconds

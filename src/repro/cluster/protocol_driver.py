@@ -61,12 +61,7 @@ class PassiveANUPolicy(PlacementPolicy):
     ) -> dict[str, str]:
         placement = self.placement
         assert placement is not None
-        current = set(placement.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            placement.remove_server(name)
-        for name in sorted(target - current):
-            placement.add_server(name)
+        placement.set_servers(servers)
         return placement.assignment(filesets)
 
 

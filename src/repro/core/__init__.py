@@ -7,7 +7,9 @@ Public surface:
   interval with the half-occupancy invariant;
 - :class:`~repro.core.hashing.HashFamily` — the probe-sequence hash family;
 - :class:`~repro.core.tuning.DelegateTuner` — latency-driven share rescaling
-  with the three over-tuning heuristics;
+  with the three over-tuning heuristics, and
+  :class:`~repro.core.tuning.DelegateRoundDriver`, the delegate round that
+  owns the previous interval's reports;
 - :class:`~repro.core.decentralized.PairwiseTuner` — the §5 future-work
   decentralized variant;
 - :mod:`~repro.core.movement` — movement/cache-preservation accounting.
@@ -33,6 +35,7 @@ from .tuning import (
     DIVERGENT_ONLY,
     THRESHOLD_ONLY,
     TOP_OFF_ONLY,
+    DelegateRoundDriver,
     DelegateTuner,
     ServerReport,
     TuningConfig,
@@ -54,6 +57,7 @@ __all__ = [
     "HALF",
     "RESOLUTION",
     "RESOLUTION_BITS",
+    "DelegateRoundDriver",
     "DelegateTuner",
     "ServerReport",
     "TuningConfig",

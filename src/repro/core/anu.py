@@ -122,6 +122,16 @@ class ANUPlacement:
         """Fail or decommission a server."""
         self.interval.remove_server(name)
 
+    def set_servers(self, servers: Iterable[str]) -> None:
+        """Make ``servers`` the member set after a membership change:
+        remove the leavers, then add the joiners, each in name order."""
+        current = set(self.servers)
+        target = set(servers)
+        for name in sorted(current - target):
+            self.remove_server(name)
+        for name in sorted(target - current):
+            self.add_server(name)
+
     def check_invariants(self) -> None:
         """Assert the interval's structural invariants."""
         self.interval.check_invariants()

@@ -25,12 +25,10 @@ existing load".
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..contracts import checks_invariants, preserves
-from ..sweep.api import register_process_cache
 from ..units import Ticks
 
 RESOLUTION_BITS = 48
@@ -42,22 +40,6 @@ HALF = RESOLUTION >> 1
 
 class IntervalError(ValueError):
     """Raised on operations that would violate interval invariants."""
-
-
-#: Live intervals whose memoized segment maps must be dropped at a
-#: process boundary.  The segments() cache is keyed by a *per-process*
-#: mutation counter; a forked child inheriting a parent's warm cache
-#: alongside a reset-or-matching generation counter could serve stale
-#: segment lists, so worker initializers wipe every live instance.
-_LIVE_INTERVALS: "weakref.WeakSet[MappedInterval]" = weakref.WeakSet()
-
-
-@register_process_cache
-def clear_interval_caches() -> None:
-    """Drop every live interval's memoized segment map (worker-start hook)."""
-    for interval in list(_LIVE_INTERVALS):
-        interval._segments_cache.clear()
-        interval._segments_gen = -1
 
 
 def min_partitions(n_servers: int) -> int:
@@ -160,7 +142,6 @@ class MappedInterval:
         self._generation = 0
         self._segments_cache: dict[str, list[Segment]] = {}
         self._segments_gen = -1
-        _LIVE_INTERVALS.add(self)
         if shares is None:
             shares = {name: 1.0 for name in names}
         self.set_shares(shares)

@@ -17,9 +17,13 @@ divergent
     reports; when they are unavailable (delegate fail-over) the gate is
     skipped — the stateless degradation the paper describes.
 
-The tuner is deliberately pure: :meth:`DelegateTuner.compute_shares` maps
+The tuner is deliberately pure: :meth:`DelegateTuner.compute` maps
 ``(current shares, reports, previous reports)`` to new relative shares and
 keeps no other state, so a crashed delegate can be replaced mid-run.
+:class:`DelegateRoundDriver` is the one place that remembers the previous
+interval's reports and forgets them on a delegate fail-over or a
+membership change; every stack (queueing cluster, full system, message
+protocol) tunes through it.
 """
 
 from __future__ import annotations
@@ -294,3 +298,40 @@ class DelegateTuner:
             return cfg.max_step if request_count > 0 else 1.0
         raw = avg / latency
         return min(max(raw, 1.0 / cfg.max_step), cfg.max_step)
+
+
+class DelegateRoundDriver:
+    """One delegate's tuning rounds: the stateless tuner plus the only copy
+    of the previous interval's reports that the divergent gate reads.
+
+    ``ANUPolicy`` (queueing cluster), ``MetadataCluster`` (semantic and
+    timed full-system harnesses) and the message-level
+    ``ServerNode`` delegate each own one.  Their hosts call :meth:`reset`
+    on a delegate fail-over and on a membership change, so the next round
+    runs with the divergent gate skipped.  Reports from servers absent
+    this round are filtered out of the previous set, so the gate only ever
+    compares a server against its own history.
+    """
+
+    def __init__(self, config: TuningConfig | None = None) -> None:
+        self.tuner = DelegateTuner(config)
+        self.previous_reports: list[ServerReport] | None = None
+        self.rounds_run = 0
+
+    def compute(
+        self,
+        shares: Mapping[str, float],
+        reports: Sequence[ServerReport],
+    ) -> TuningDecision:
+        """One delegate round over ``reports``; updates report history."""
+        previous: list[ServerReport] | None = None
+        if self.previous_reports is not None:
+            previous = [r for r in self.previous_reports if r.name in shares]
+        decision = self.tuner.compute(shares, list(reports), previous)
+        self.previous_reports = list(reports)
+        self.rounds_run += 1
+        return decision
+
+    def reset(self) -> None:
+        """Forget history (delegate fail-over, membership change)."""
+        self.previous_reports = None

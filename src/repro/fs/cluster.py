@@ -20,7 +20,7 @@ from ..contracts import checks_invariants, invariant
 from ..core.anu import ANUPlacement
 from ..core.hashing import HashFamily
 from ..core.movement import MovementLedger, diff_assignment
-from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
+from ..core.tuning import DelegateRoundDriver, ServerReport, TuningConfig
 from ..membership.director import MembershipDirector
 from ..membership.faults import FaultEvent, FaultKind
 from ..membership.lifecycle import MembershipRoster
@@ -108,9 +108,9 @@ class MetadataCluster:
             telemetry=telemetry if telemetry is not None else NULL_SINK,
         )
         self.placement = ANUPlacement(sorted(self.services), hash_family=hash_family)
-        self.tuner = DelegateTuner(tuning)
+        #: The delegate round: tuner plus the previous interval's reports.
+        self.rounds = DelegateRoundDriver(tuning)
         self.ledger = MovementLedger()
-        self._previous_reports: Sequence[ServerReport] | None = None
         # Format every file set and hand it to its initial owner.
         for fileset in self.registry.filesets:
             self.disk.format_fileset(Namespace(fileset))
@@ -226,10 +226,7 @@ class MetadataCluster:
     def retune(self, reports: Sequence[ServerReport], now: float = 0.0) -> int:
         """One delegate round: rescale regions, move images; returns the
         number of file sets moved."""
-        decision = self.tuner.compute(
-            self.placement.shares(), reports, self._previous_reports
-        )
-        self._previous_reports = list(reports)
+        decision = self.rounds.compute(self.placement.shares(), reports)
         if not decision.tuned:
             return 0
         self.placement.set_shares(decision.new_shares)
@@ -365,21 +362,19 @@ class MetadataCluster:
     def delegate_failover(self, now: Seconds) -> None:
         """Tuning here is delegate-less (callers invoke :meth:`retune`
         directly), so a delegate crash only clears report history."""
-        self._previous_reports = None
+        self.rounds.reset()
         return None
 
     def membership_assignment(
         self,
     ) -> tuple[dict[str, str], dict[str, str]]:
-        """(old, new): current ownership vs the re-probed placement."""
+        """(old, new): current ownership vs the re-probed placement.
+        Report history straddles the membership change; drop it."""
+        self.rounds.reset()
         return (
             dict(self._ownership),
             self.placement.assignment(self.registry.filesets),
         )
-
-    def reset_round_history(self) -> None:
-        """Report history straddles the membership change; drop it."""
-        self._previous_reports = None
 
     def realize_membership(
         self, old: dict[str, str], new: dict[str, str], now: Seconds

@@ -13,10 +13,10 @@ untimed.  This module combines them on one engine:
   flush/initialize delay, during which the source keeps serving — and the
   image really travels over the shared disk.
 
-Since the ``repro.runtime`` refactor, round cadence and report history
-belong to the shared :class:`~repro.runtime.loop.TuningLoop`; this module
-implements its host protocol (decision = a raw
-:class:`~repro.core.tuning.DelegateTuner`, realize = delayed
+Round cadence belongs to the shared
+:class:`~repro.runtime.loop.TuningLoop`; this module implements its host
+protocol (decision = the metadata cluster's
+:class:`~repro.core.tuning.DelegateRoundDriver`, realize = delayed
 shared-disk ownership transfers) and emits the structured telemetry
 stream.  Scheduling is replicated exactly, so seeded runs replay
 bit-identically through the refactor.
@@ -30,10 +30,9 @@ untimed replay of the same operation stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..core.movement import MovementLedger, ReconfigDiff, diff_assignment
-from ..core.tuning import DelegateTuner, ServerReport, TuningConfig, TuningDecision
+from ..core.tuning import TuningConfig, TuningDecision
 from ..metrics.latency import LatencyCollector
 from ..placement.base import TuningContext
 from ..runtime.arrivals import schedule_all
@@ -132,7 +131,6 @@ class FullSystemSimulation:
         self.cluster = MetadataCluster(
             sorted(config.server_speeds), config.fileset_roots, tuning=tuning
         )
-        self.tuner = DelegateTuner(tuning)
         self.facilities = {
             name: Facility(self.engine, name)
             for name in config.server_speeds
@@ -281,12 +279,7 @@ class FullSystemSimulation:
     # ------------------------------------------------------------------
     # Tuning rounds (TuningHost protocol, driven by self.loop)
     # ------------------------------------------------------------------
-    def build_tuning_context(
-        self,
-        now: float,
-        interval: float,
-        previous_reports: Sequence[ServerReport] | None,
-    ) -> TuningContext:
+    def build_tuning_context(self, now: float, interval: float) -> TuningContext:
         """This round's context: window reports over the static fleet."""
         servers = sorted(self.config.server_speeds)
         return TuningContext(
@@ -295,7 +288,6 @@ class FullSystemSimulation:
             servers=servers,
             assignment=self.cluster.ownership(),
             reports=self.collector.reports(servers, now - interval, now),
-            previous_reports=previous_reports,
             server_speeds=dict(self.config.server_speeds),
             rng=self._tuning_rng,
         )
@@ -303,18 +295,12 @@ class FullSystemSimulation:
     def decide(
         self, context: TuningContext
     ) -> tuple[dict[str, str] | None, TuningDecision | None]:
-        """One delegate-tuner round; rescales shares when it tunes."""
-        previous = (
-            list(context.previous_reports)
-            if context.previous_reports is not None
-            else None
-        )
-        decision = self.tuner.compute(
-            self.cluster.placement.shares(), list(context.reports), previous
-        )
+        """One round of the cluster's delegate; rescales shares when it
+        tunes (ownership moves later, through :meth:`realize`)."""
+        placement = self.cluster.placement
+        decision = self.cluster.rounds.compute(placement.shares(), context.reports)
         if not decision.tuned:
             return None, decision
-        placement = self.cluster.placement
         placement.set_shares(decision.new_shares)
         placement.check_invariants()
         return placement.assignment(self.cluster.registry.filesets), decision

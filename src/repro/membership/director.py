@@ -20,8 +20,8 @@ plane.  :class:`MembershipDirector` owns that logic once:
 4. **re-placement** — ask the host for its post-change assignment
    (``PlacementPolicy.on_membership_change`` or a direct
    ``ANUPlacement`` re-probe; the placement layer repartitions whenever
-   ``p < 2*(n+1)``), reset delegate report history (the paper's
-   stateless recovery), classify the resulting moves with
+   ``p < 2*(n+1)``; the host resets its delegate round there — the
+   paper's stateless recovery), classify the resulting moves with
    :func:`~repro.core.movement.diff_owner_sets` into *orphan re-homes*
    versus *live rebalances* (slot-wise, so replicated hosts orphan a
    file set only when every owner is gone), and have the host realize
@@ -36,8 +36,8 @@ telemetry are identical across all three stacks by construction.
 Gray failures (``DEGRADE``/``RESTORE``) take a deliberately shorter path:
 legality through the roster, a :class:`FaultInjected` +
 :class:`~repro.runtime.telemetry.SpeedChanged` pair, and the
-:meth:`MembershipHost.set_speed` primitive — **no** re-placement, **no**
-history reset, **no** ``MembershipChanged``.  A limping server is
+:meth:`MembershipHost.set_speed` primitive — **no** re-placement (so
+**no** history reset), **no** ``MembershipChanged``.  A limping server is
 indistinguishable from a healthy one to every detector in the system;
 only the tuner's observed latencies can reveal it.
 """
@@ -101,10 +101,9 @@ class MembershipHost(Protocol):
         self,
     ) -> tuple[dict[str, str], dict[str, str]] | None:
         """(old, new) file-set assignments after the server-set change,
-        or ``None`` when this host manages no placement (control plane)."""
-
-    def reset_round_history(self) -> None:
-        """Forget delegate report history (it straddles the change)."""
+        or ``None`` when this host manages no placement (control plane).
+        The host also forgets its delegate's report history here: it
+        straddles the change."""
 
     def realize_membership(
         self, old: dict[str, str], new: dict[str, str], now: Seconds
@@ -276,11 +275,8 @@ class MembershipDirector:
 
     # ------------------------------------------------------------------
     def _rebalance(self, now: Seconds) -> ReconfigDiff | None:
-        """Re-place after the server-set change; the paper's stateless
-        recovery (history reset) happens between deciding and realizing,
-        exactly as the pre-refactor harnesses did."""
+        """Re-place after the server-set change and realize the diff."""
         pair = self.host.membership_assignment()
-        self.host.reset_round_history()
         if pair is None:
             return None
         old, new = pair

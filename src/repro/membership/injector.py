@@ -23,15 +23,10 @@ seed)``:
   inventing a new one half the time, exercising the documented
   recover-after-decommission semantics.
 
-Two consumption modes:
-
-- :meth:`FaultInjector.generate` — materialize the whole schedule up
-  front (feeds any harness's ``faults=`` parameter; what
-  :class:`~repro.runtime.scenario.Scenario` uses);
-- :meth:`FaultInjector.inject` — online mode: lazily walk the same event
-  stream on a live engine, sampling each next event only after the
-  previous one fired.  Both modes yield the identical sequence for the
-  same seed.
+:meth:`FaultInjector.generate` materializes the whole schedule up front
+(it feeds any harness's ``faults=`` parameter; it is what
+:class:`~repro.runtime.scenario.Scenario` uses), and
+:meth:`FaultInjector.events` yields the same sequence lazily.
 """
 
 from __future__ import annotations
@@ -40,8 +35,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from ..sim.engine import Engine
-from ..sim.events import PRIORITY_EARLY
 from ..sim.rng import StreamFactory
 from ..units import Seconds
 from .faults import FaultEvent, FaultKind, FaultSchedule, apply_event
@@ -221,33 +214,6 @@ class FaultInjector:
         for event in self.events(horizon):
             schedule.add(event)
         return schedule
-
-    def inject(
-        self,
-        engine: Engine,
-        apply: Callable[[FaultEvent], object],
-        horizon: Seconds,
-    ) -> None:
-        """Online mode: drive ``apply(event)`` on a live engine.
-
-        Each next event is sampled lazily only after the previous one is
-        applied, so a soak can outlive any pre-materialized schedule; the
-        event sequence is identical to :meth:`generate`'s.
-        """
-        events = self.events(horizon)
-
-        def _chain() -> None:
-            event = next(events, None)
-            if event is not None:
-                engine.schedule_at(
-                    event.time, _fire, event, priority=PRIORITY_EARLY
-                )
-
-        def _fire(event: FaultEvent) -> None:
-            apply(event)
-            _chain()
-
-        _chain()
 
     # ------------------------------------------------------------------
     def events(self, horizon: Seconds) -> Iterator[FaultEvent]:

@@ -10,10 +10,11 @@ tuner flavours are supported:
 - :class:`DecentralizedANUPolicy` — the §5 future-work variant using
   pair-wise exchanges (:class:`repro.core.decentralized.PairwiseTuner`).
 
-The policy models delegate failure: if ``delegate_failed`` is set for an
-interval, the previous reports are discarded (the replacement delegate is
-stateless), which disables the divergent gate for that round exactly as the
-paper describes.
+:class:`ANUPolicy` tunes through a
+:class:`~repro.core.tuning.DelegateRoundDriver`, the one holder of the
+previous interval's reports.  A delegate fail-over or a membership change
+resets it (the replacement delegate is stateless), which disables the
+divergent gate for the next round exactly as the paper describes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 from ..core.anu import ANUPlacement
 from ..core.decentralized import PairwiseConfig, PairwiseTuner
 from ..core.hashing import HashFamily
-from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
+from ..core.tuning import DelegateRoundDriver, TuningConfig
 from .base import PlacementPolicy, TuningContext
 
 
@@ -37,11 +38,9 @@ class ANUPolicy(PlacementPolicy):
         config: TuningConfig | None = None,
         hash_family: HashFamily | None = None,
     ) -> None:
-        self.tuner = DelegateTuner(config)
+        self.rounds = DelegateRoundDriver(config)
         self._hash_family = hash_family
         self.placement: ANUPlacement | None = None
-        self._previous_reports: Sequence[ServerReport] | None = None
-        self.delegate_failed = False
         self.decisions: list[float] = []  # average latency per round, for tests
         #: (time, server -> share fraction) after each tuning round —
         #: the region-evolution record behind Figures 3-5's dynamics.
@@ -54,18 +53,13 @@ class ANUPolicy(PlacementPolicy):
         # "ANU randomization has no a-priori knowledge and therefore assumes
         # initially that all file sets and all servers are uniform."
         self.placement = ANUPlacement(servers, hash_family=self._hash_family)
-        self._previous_reports = None
+        self.rounds.reset()
         return self.placement.assignment(filesets)
 
     def update(self, context: TuningContext) -> dict[str, str] | None:
         placement = self._require_placement()
-        previous = None if self.delegate_failed else self._previous_reports
-        self.delegate_failed = False
-        decision = self.tuner.compute(
-            placement.shares(), context.reports, previous
-        )
+        decision = self.rounds.compute(placement.shares(), context.reports)
         self.decisions.append(decision.average)
-        self._previous_reports = list(context.reports)
         if not decision.tuned:
             return None
         placement.set_shares(decision.new_shares)
@@ -83,22 +77,17 @@ class ANUPolicy(PlacementPolicy):
         assignment: Mapping[str, str],
     ) -> dict[str, str]:
         placement = self._require_placement()
-        current = set(placement.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            placement.remove_server(name)
-        for name in sorted(target - current):
-            placement.add_server(name)
+        placement.set_servers(servers)
         placement.check_invariants()
         # A membership change invalidates latency history: the region scales
         # changed for a non-workload reason.
-        self._previous_reports = None
+        self.rounds.reset()
         return placement.assignment(filesets)
 
     # ------------------------------------------------------------------
     def fail_delegate(self) -> None:
-        """Simulate the delegate crashing before the next tuning round."""
-        self.delegate_failed = True
+        """The delegate crashed: its replacement starts with no history."""
+        self.rounds.reset()
 
     def _require_placement(self) -> ANUPlacement:
         if self.placement is None:
@@ -162,10 +151,5 @@ class DecentralizedANUPolicy(PlacementPolicy):
         placement = self.placement
         if placement is None:
             raise RuntimeError("policy used before initial_assignment()")
-        current = set(placement.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            placement.remove_server(name)
-        for name in sorted(target - current):
-            placement.add_server(name)
+        placement.set_servers(servers)
         return placement.assignment(filesets)

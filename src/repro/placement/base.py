@@ -40,7 +40,6 @@ class TuningContext:
     servers: Sequence[str]
     assignment: Mapping[str, str]
     reports: Sequence[ServerReport]
-    previous_reports: Sequence[ServerReport] | None = None
     server_speeds: Mapping[str, float] | None = None
     oracle_demand: Mapping[str, float] | None = None
     #: Policy randomness MUST come from here so runs replay from a seed.

@@ -75,6 +75,16 @@ class ConsistentHashRing:
         if not self._points:
             raise ValueError("cannot remove the last server")
 
+    def set_servers(self, servers: Sequence[str]) -> None:
+        """Make ``servers`` the member set: remove the leavers, then add
+        the joiners, each in name order."""
+        current = set(self.servers)
+        target = set(servers)
+        for name in sorted(current - target):
+            self.remove_server(name)
+        for name in sorted(target - current):
+            self.add_server(name)
+
     def locate(self, name: str) -> str:
         """Owner of ``name``: the first vnode clockwise of its hash point."""
         if not self._points:
@@ -112,10 +122,5 @@ class ConsistentHashPolicy(PlacementPolicy):
     ) -> dict[str, str]:
         if self.ring is None:
             raise RuntimeError("policy used before initial_assignment()")
-        current = set(self.ring.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            self.ring.remove_server(name)
-        for name in sorted(target - current):
-            self.ring.add_server(name)
+        self.ring.set_servers(servers)
         return {name: self.ring.locate(name) for name in filesets}

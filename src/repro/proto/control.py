@@ -1,11 +1,12 @@
-"""Control-plane harness: wire nodes, network, and an ANU placement.
+"""Control-plane harness: wire protocol nodes to a network and a clock.
 
 :class:`ControlPlane` assembles a full §4 control plane on one simulation
 engine: N server nodes with bully election and heartbeats, a lossy
-network, per-node latency sources, and (optionally) a shared
-:class:`repro.core.anu.ANUPlacement` that every node's applied configs
-drive — demonstrating that the replicated state really is just the region
-map.
+network, and per-node latency sources.  It manages no file-set placement:
+each node's applied configs are only logged (``config_log``) — the
+replicated state is just the share map, which :meth:`shares_agree`
+checks.  :class:`repro.cluster.protocol_driver.ProtocolDrivenCluster`
+is the harness that drives a real placement from the same nodes.
 
 Intended for tests, the protocol example, and the protocol ablation bench;
 the queueing figures use the simpler direct-call delegate in
@@ -205,9 +206,6 @@ class ControlPlane:
     def membership_assignment(self) -> None:
         """The control plane manages no file-set placement."""
         return None
-
-    def reset_round_history(self) -> None:
-        """Per-node round history dies with its node; nothing shared."""
 
     def realize_membership(
         self, old: dict[str, str], new: dict[str, str], now: Seconds

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
-from ..runtime.loop import DelegateRoundDriver
+from ..core.tuning import DelegateRoundDriver, ServerReport, TuningConfig
 from ..runtime.telemetry import (
     NULL_SINK,
     DelegateElected,
@@ -106,10 +105,9 @@ class ServerNode:
         self.report_source = report_source
         self.queue_source = queue_source
         self.on_config = on_config
-        self.tuner = DelegateTuner(tuning)
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
-        # Round bookkeeping shared with the harness tuning loops.
-        self._rounds = DelegateRoundDriver(self.tuner)
+        # The same delegate round the other stacks tune through.
+        self._rounds = DelegateRoundDriver(tuning)
 
         self.alive = True
         #: Effective speed multiplier (gray failures); 1.0 means healthy.
@@ -139,14 +137,6 @@ class ServerNode:
     def rounds_run(self) -> int:
         """Delegate rounds this node has completed (driver-owned)."""
         return self._rounds.rounds_run
-
-    @property
-    def _previous_reports(self) -> list[ServerReport] | None:
-        return self._rounds.previous_reports
-
-    @_previous_reports.setter
-    def _previous_reports(self, value: list[ServerReport] | None) -> None:
-        self._rounds.previous_reports = value
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -188,7 +178,7 @@ class ServerNode:
         self.speed = 1.0
         self.network.set_up(self.name)
         self.delegate = None
-        self._previous_reports = None
+        self._rounds.reset()
         self._election_pending = False
         self._got_ok = False
         self._last_heartbeat = self.engine.now

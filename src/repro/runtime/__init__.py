@@ -10,7 +10,7 @@ harness stacks (:mod:`.scenario`).
 """
 
 from .arrivals import ArrivalPump, schedule_all
-from .loop import DelegateRoundDriver, TuningHost, TuningLoop
+from .loop import TuningHost, TuningLoop
 from .result import SimResult, summarize_collector
 from .routing import (
     ROUTER_FACTORIES,
@@ -47,7 +47,6 @@ from .telemetry import (
 __all__ = [
     "ArrivalPump",
     "schedule_all",
-    "DelegateRoundDriver",
     "TuningHost",
     "TuningLoop",
     "SimResult",

@@ -1,23 +1,20 @@
-"""The shared tuning-round driver behind every harness.
+"""The shared tuning-round cadence behind every timer-driven harness.
 
 The paper's delegate loop — collect per-server latency reports each
 interval, compute a tuning decision, realize the resulting assignment
 diff as shared-disk moves — was re-implemented three times in this
 repository (queueing cluster, timed full system, message-level protocol).
-This module owns that loop once:
+:class:`TuningLoop` owns that loop's cadence once: it drives periodic
+rounds on an engine, asks its host to build a
+:class:`~repro.placement.base.TuningContext`, invokes the host's decision
+function, emits a :class:`~repro.runtime.telemetry.TuningDecided` record,
+and realizes assignment diffs through the host's movement layer.
 
-- :class:`TuningLoop` drives periodic rounds on an engine: it asks its
-  host to build a :class:`~repro.placement.base.TuningContext`, invokes
-  the host's decision function (``PlacementPolicy.update`` or a delegate
-  tuner), tracks the previous interval's reports for the divergent
-  heuristic, and realizes assignment diffs through the host's movement
-  layer (membership changes are driven separately by
-  :class:`repro.membership.director.MembershipDirector`);
-- :class:`DelegateRoundDriver` is the smaller kernel shared with the
-  message-driven protocol (:mod:`repro.proto.node`), where round cadence
-  is governed by heartbeats and elections rather than a timer: stateless
-  :class:`~repro.core.tuning.DelegateTuner` invocation plus
-  previous-report bookkeeping.
+The loop keeps no report history.  The previous interval's reports that
+the divergent heuristic compares against live in one
+:class:`~repro.core.tuning.DelegateRoundDriver` per delegate, owned by
+the host's decision function; membership changes are driven separately
+by :class:`repro.membership.director.MembershipDirector`.
 
 Every scheduling decision here replicates the pre-runtime harnesses
 exactly (same event priorities, same reschedule conditions, same RNG
@@ -26,9 +23,9 @@ usage), so seeded runs replay bit-identically through the refactor.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol
 
-from ..core.tuning import DelegateTuner, ServerReport, TuningDecision
+from ..core.tuning import TuningDecision
 from ..sim.engine import Engine
 from ..sim.events import PRIORITY_LATE
 from .telemetry import NULL_SINK, TelemetrySink, TuningDecided
@@ -36,18 +33,13 @@ from .telemetry import NULL_SINK, TelemetrySink, TuningDecided
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..placement.base import TuningContext
 
-__all__ = ["TuningHost", "TuningLoop", "DelegateRoundDriver"]
+__all__ = ["TuningHost", "TuningLoop"]
 
 
 class TuningHost(Protocol):
     """What a harness provides for :class:`TuningLoop` to drive it."""
 
-    def build_tuning_context(
-        self,
-        now: float,
-        interval: float,
-        previous_reports: Sequence[ServerReport] | None,
-    ) -> "TuningContext":
+    def build_tuning_context(self, now: float, interval: float) -> "TuningContext":
         """Assemble this round's context (reports, assignment, rng, ...)."""
 
     def decide(
@@ -64,7 +56,7 @@ class TuningHost(Protocol):
 class TuningLoop:
     """Periodic delegate rounds on a discrete-event engine.
 
-    The loop owns round cadence and report history; everything
+    The loop owns round cadence only; everything
     harness-specific (how reports are measured, what "realize" means)
     lives behind the :class:`TuningHost` protocol.
     """
@@ -87,7 +79,6 @@ class TuningLoop:
         self.host = host
         self.telemetry = telemetry
         self.rounds = 0
-        self.previous_reports: list[ServerReport] | None = None
         self._priority = priority
 
     # ------------------------------------------------------------------
@@ -99,12 +90,9 @@ class TuningLoop:
 
     def _round(self) -> None:
         now = self.engine.now
-        context = self.host.build_tuning_context(
-            now, self.interval, self.previous_reports
-        )
+        context = self.host.build_tuning_context(now, self.interval)
         self.rounds += 1
         new_assignment, decision = self.host.decide(context)
-        self.previous_reports = list(context.reports)
         sink = self.telemetry
         if sink.enabled:
             sink.emit(
@@ -125,44 +113,3 @@ class TuningLoop:
             self.engine.schedule(
                 self.interval, self._round, priority=self._priority
             )
-
-    # ------------------------------------------------------------------
-    def reset_history(self) -> None:
-        """Forget the previous interval's reports (delegate fail-over or
-        membership change — latency history straddles either)."""
-        self.previous_reports = None
-
-
-class DelegateRoundDriver:
-    """Stateless-tuner invocation plus previous-report bookkeeping.
-
-    Shared by hosts whose decision function is a raw
-    :class:`DelegateTuner` (the timed full-system harness) and by the
-    message-level delegate (:class:`repro.proto.node.ServerNode`), whose
-    round cadence is protocol-driven.  Reports from servers absent this
-    round are filtered out of the previous set, so the divergent gate
-    only ever compares a server against its own history.
-    """
-
-    def __init__(self, tuner: DelegateTuner) -> None:
-        self.tuner = tuner
-        self.previous_reports: list[ServerReport] | None = None
-        self.rounds_run = 0
-
-    def compute(
-        self,
-        shares: dict[str, float],
-        reports: Sequence[ServerReport],
-    ) -> TuningDecision:
-        """One delegate round over ``reports``; updates report history."""
-        previous: list[ServerReport] | None = None
-        if self.previous_reports is not None:
-            previous = [r for r in self.previous_reports if r.name in shares]
-        decision = self.tuner.compute(shares, list(reports), previous)
-        self.previous_reports = list(reports)
-        self.rounds_run += 1
-        return decision
-
-    def reset(self) -> None:
-        """Forget history (new delegate, membership change)."""
-        self.previous_reports = None

@@ -29,7 +29,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, ClassVar, IO, Iterable, Iterator
 
-from ..sweep.api import register_process_cache
 from ..units import Seconds
 
 __all__ = [
@@ -354,11 +353,9 @@ class TeeSink(TelemetrySink):
 
 
 #: Per-record-class field-name cache for :class:`DigestSink` — avoids
-#: re-walking ``dataclasses.fields`` on every emission.  Registered as a
-#: process cache: contents are derivable (and re-derived) anywhere, so a
-#: worker never depends on what the parent happened to memoize.
+#: re-walking ``dataclasses.fields`` on every emission.  Its contents are
+#: derivable from the class alone, so they never depend on process history.
 _DIGEST_FIELDS: dict[type, tuple[str, ...]] = {}
-register_process_cache(_DIGEST_FIELDS.clear)
 
 
 def _canonical_value(value: Any) -> Any:

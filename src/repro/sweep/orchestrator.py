@@ -29,12 +29,12 @@ from pathlib import Path
 from typing import Callable
 
 from .grid import PlanError, SweepPlan
-from .worker import pool_initializer, run_cell
+from .worker import run_cell
 
 __all__ = ["EXECUTORS", "SweepResult", "run_sweep"]
 
 #: Supported executor kinds (CLI ``--executor`` values).
-EXECUTORS = ("serial", "process", "futures")
+EXECUTORS = ("serial", "process")
 
 #: Invoked after each finished cell: (done_count, total, cell_id).
 ProgressFn = Callable[[int, int, str], None]
@@ -131,31 +131,15 @@ def _compute(
 
     payloads = [cell.payload() for cell in todo]
     if executor == "serial" or jobs <= 1:
-        pool_initializer()
         for payload in payloads:
             note(run_cell(payload))
-    elif executor == "process":
+    else:  # "process": a spawn pool, so workers inherit no parent state
         import multiprocessing
 
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(jobs, initializer=pool_initializer) as pool:
+        with ctx.Pool(jobs) as pool:
             for row in pool.imap_unordered(run_cell, payloads):
                 note(row)
-    elif executor == "futures":
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=ctx, initializer=pool_initializer
-        ) as pool:
-            futures = [pool.submit(run_cell, payload) for payload in payloads]
-            for future in as_completed(futures):
-                note(future.result())
-    else:
-        raise ValueError(
-            f"unknown executor {executor!r}; known: {', '.join(EXECUTORS)}"
-        )
     return rows
 
 

@@ -14,9 +14,10 @@ at runtime by the serial-vs-process ``cmp`` of merged output (CI's
   orchestrator can prove that merged output is independent of which
   process computed the cell and when (the merge is keyed by cell id,
   never by completion order);
-- :func:`pool_initializer` clears every registered process cache before
-  a worker computes anything, so no parent-process memo state can leak
-  into a child.
+- workers come from a ``spawn`` pool, so a child inherits no memo state
+  from the parent; the memos a cell does build (the interval's segment
+  cache, keyed by its own mutation counter; the digest sink's field-name
+  cache) are functions of their inputs alone.
 """
 
 from __future__ import annotations
@@ -31,18 +32,11 @@ from ..placement.replicated import ReplicatedPolicy
 from ..runtime.scenario import Scenario
 from ..runtime.telemetry import DigestSink
 from ..workloads.synthetic import SyntheticConfig, generate_synthetic
-from .api import clear_process_caches
 
 __all__ = [
     "LIMP_SCHEDULES",
-    "pool_initializer",
     "run_cell",
 ]
-
-
-def pool_initializer() -> None:
-    """Run in every worker process before it computes its first cell."""
-    clear_process_caches()
 
 
 def _sustained_limp(duration: float) -> FaultSchedule:

@@ -2,7 +2,9 @@
 
 Run from the repo root (``PYTHONPATH=src python tests/golden/capture_goldens.py``)
 to regenerate ``tests/golden/harness_goldens.json``.  The committed file was
-captured from the pre-``repro.runtime`` harnesses (commit 10d9516); the
+captured from the pre-``repro.runtime`` harnesses (commit 10d9516), except
+``protocol_faults_seed9``, captured at commit 6f748cd before the delegate
+round history moved into one owner; the
 adapter-based harnesses must reproduce it bit-for-bit, so ONLY regenerate it
 for a change that is *intended* to alter simulation behaviour — and say so in
 the commit message.
@@ -26,6 +28,7 @@ from repro import (
     generate_synthetic,
     paper_servers,
 )
+from repro.cluster.protocol_driver import ProtocolDrivenCluster
 from repro.fs import FsWorkloadConfig, MetadataCluster, generate_operations, populate
 from repro.fs.simulation import FullSystemConfig, FullSystemSimulation
 from repro.placement.anu_policy import ANUPolicy
@@ -132,6 +135,40 @@ def full_system_golden(result) -> dict:
     }
 
 
+def protocol_fault_schedule() -> FaultSchedule:
+    """Fail, recover and commission, mirrored onto the protocol nodes."""
+    return (
+        FaultSchedule()
+        .fail(90.0, "server2")
+        .recover(170.0, "server2")
+        .commission(260.0, "server5", speed=4.0)
+    )
+
+
+def run_protocol(seed: int, telemetry=None):
+    """The queueing cluster tuned by the message-level delegate protocol,
+    with membership churn and one delegate crash (healed by election)."""
+    trace = generate_synthetic(
+        SyntheticConfig(n_filesets=20, n_requests=1500, duration=400.0, seed=seed)
+    )
+    config = ClusterConfig(
+        servers=paper_servers(), tuning_interval=60.0, sample_window=30.0, seed=seed
+    )
+    return ProtocolDrivenCluster(
+        config, trace, faults=protocol_fault_schedule(),
+        delegate_crash_times=(210.0,), telemetry=telemetry,
+    ).run()
+
+
+def protocol_golden(result) -> dict:
+    return {
+        "run": cluster_golden(result.run),
+        "delegate_history": [list(entry) for entry in result.delegate_history],
+        "config_updates_applied": result.config_updates_applied,
+        "messages_sent": result.messages_sent,
+    }
+
+
 def capture() -> dict:
     return {
         "_comment": (
@@ -143,6 +180,7 @@ def capture() -> dict:
             run_cluster(5, cluster_fault_schedule())
         ),
         "full_system_seed11": full_system_golden(run_full_system(11)),
+        "protocol_faults_seed9": protocol_golden(run_protocol(9)),
     }
 
 

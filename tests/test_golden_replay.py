@@ -54,6 +54,16 @@ def test_full_system_matches_pre_refactor_golden():
     _assert_matches(cg.full_system_golden(result), "full_system_seed11")
 
 
+def test_protocol_fault_path_matches_golden():
+    # Fail, recover, commission and a delegate crash through the
+    # message-level control plane; telemetry must not perturb it either.
+    _assert_matches(cg.protocol_golden(cg.run_protocol(9)), "protocol_faults_seed9")
+    _assert_matches(
+        cg.protocol_golden(cg.run_protocol(9, telemetry=DigestSink())),
+        "protocol_faults_seed9",
+    )
+
+
 # ----------------------------------------------------------------------
 # The routing plane at r=1 is invisible: SingleOwnerRouter + replication=1
 # must replay the pre-refactor goldens bit-for-bit on every stack.

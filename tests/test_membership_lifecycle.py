@@ -327,13 +327,11 @@ class RecordingHost:
         return None
 
     def membership_assignment(self):
+        self.calls.append(("assign",))
         old = dict(self.assignment)
         live = self.roster.live()
         new = {fs: live[i % len(live)] for i, fs in enumerate(self.filesets)}
         return old, new
-
-    def reset_round_history(self):
-        self.calls.append(("reset",))
 
     def realize_membership(self, old, new, now):
         self.calls.append(("realize",))
@@ -353,7 +351,7 @@ def test_director_fail_orders_crash_rebalance_reinject():
     roster, host, director = _director()
     change = director.apply(FaultEvent(Seconds(1.0), FaultKind.FAIL, "a"))
     kinds = [c[0] for c in host.calls]
-    assert kinds == ["crash", "reset", "realize", "reinject"]
+    assert kinds == ["crash", "assign", "realize", "reinject"]
     assert roster.state_of("a") is ServerState.DOWN
     assert change.live == ("b", "c")
     assert change.diff is not None and change.moved >= 1
@@ -390,7 +388,7 @@ def test_director_commission_and_decommission_rebalance():
     assert change.live == ("a", "b", "c", "d")
     host.calls.clear()
     director.apply(FaultEvent(Seconds(2.0), FaultKind.DECOMMISSION, "d"))
-    assert [c[0] for c in host.calls] == ["drain", "reset", "realize"]
+    assert [c[0] for c in host.calls] == ["drain", "assign", "realize"]
     assert roster.state_of("d") is ServerState.DRAINING
 
 

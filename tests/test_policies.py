@@ -24,8 +24,7 @@ SERVERS = ["s0", "s1", "s2", "s3", "s4"]
 FILESETS = [f"fs{i:03d}" for i in range(100)]
 
 
-def make_context(policy_assignment, reports=None, oracle=None, speeds=None,
-                 previous=None):
+def make_context(policy_assignment, reports=None, oracle=None, speeds=None):
     if reports is None:
         reports = [ServerReport(s, 0.01, 10) for s in SERVERS]
     return TuningContext(
@@ -34,7 +33,6 @@ def make_context(policy_assignment, reports=None, oracle=None, speeds=None,
         servers=SERVERS,
         assignment=policy_assignment,
         reports=reports,
-        previous_reports=previous,
         server_speeds=speeds,
         oracle_demand=oracle,
         rng=np.random.default_rng(0),
@@ -234,19 +232,6 @@ def test_anu_policy_membership_change_handles_fail_and_join():
     b = pol.on_membership_change(FILESETS, sorted(survivors), a)
     validate_assignment(b, FILESETS, survivors)
     assert set(pol.placement.servers) == set(survivors)
-
-
-def test_anu_policy_delegate_failure_discards_history():
-    pol = ANUPolicy()
-    a = pol.initial_assignment(FILESETS, SERVERS)
-    hot = [ServerReport("s0", 1.0, 100)] + [
-        ServerReport(s, 0.01, 100) for s in SERVERS[1:]
-    ]
-    pol.update(make_context(a, reports=hot))
-    pol.fail_delegate()
-    assert pol.delegate_failed
-    pol.update(make_context(a, reports=hot))
-    assert not pol.delegate_failed  # consumed by the round
 
 
 # ----------------------------------------------------------------------

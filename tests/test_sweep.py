@@ -4,8 +4,7 @@ The engine's contract is byte-identity: the merged output of a sweep is
 a pure function of its plan, regardless of executor kind, worker count,
 completion order, or whether the run was interrupted and resumed.  The
 process-executor tests spawn real worker processes (spawn start method,
-the strictest), so they double as an integration test of the
-``register_process_cache`` contract.
+the strictest), so no worker can lean on state its parent built.
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ import json
 
 import pytest
 
-from repro.core.interval import MappedInterval
 from repro.sweep import (
     Cell,
     GridSpec,
     PlanError,
     SweepPlan,
     cell_id_for,
-    clear_process_caches,
-    register_process_cache,
     run_sweep,
 )
 from repro.sweep.worker import _scenario_for, run_cell
@@ -132,16 +128,6 @@ def test_process_executor_matches_serial_at_any_worker_count(tmp_path, jobs):
     )
 
 
-def test_futures_executor_matches_serial(tmp_path):
-    plan = quick_spec(seeds=(0, 1)).build_plan()
-    serial = run_sweep(plan, tmp_path / "serial", executor="serial")
-    futures = run_sweep(
-        plan, tmp_path / "futures", executor="futures", jobs=2
-    )
-    assert futures.complete
-    assert futures.merged_digest == serial.merged_digest
-
-
 def test_resume_from_partial_is_bit_identical(tmp_path):
     plan = quick_spec().build_plan()
     whole = run_sweep(plan, tmp_path / "whole", executor="serial")
@@ -202,37 +188,3 @@ def test_worker_summary_matches_bare_scenario():
     result = _scenario_for(cell.seed, cell.params_dict).run_cluster()
     assert row["summary"]["mean_latency"] == result.mean_latency
     assert row["summary"]["completed"] == result.completed
-
-
-def test_clear_process_caches_resets_interval_segment_cache():
-    # The latent fork hazard: a warm segments() cache inherited by a
-    # forked child must be droppable at worker start.  The WeakSet hook
-    # registered by repro.core.interval clears every live interval.
-    interval = MappedInterval(["s0", "s1", "s2"])
-    for server in interval.servers:
-        interval.segments(server)
-    assert interval._segments_cache
-    clear_process_caches()
-    assert not interval._segments_cache
-    assert interval._segments_gen == -1
-    for server in interval.servers:
-        assert interval.segments(server) == interval._build_segments(server)
-
-
-def test_register_process_cache_is_idempotent_and_decoratable():
-    from repro.sweep import api
-
-    calls = []
-
-    def hook():
-        calls.append(1)
-
-    before = len(api._HOOKS)
-    assert register_process_cache(hook) is hook
-    register_process_cache(hook)  # second registration is a no-op
-    try:
-        assert len(api._HOOKS) == before + 1
-        clear_process_caches()
-        assert calls == [1]
-    finally:
-        api._HOOKS.remove(hook)

@@ -281,3 +281,118 @@ def test_median_average_robust_to_outlier():
     )
     # Median ~1.0: only the outlier is tuned.
     assert set(decision.tuned) == {"a"}
+
+
+# ----------------------------------------------------------------------
+# One delegate round per stack: history resets on the paper's two events
+# ----------------------------------------------------------------------
+def _latencies(servers, step):
+    """Reports that differ from round to round, so histories are told apart."""
+    return reports({s: 0.01 * (1 + (i + step) % 3) for i, s in enumerate(servers)})
+
+
+def _policy_stack(calls):
+    """The queueing cluster's ANUPolicy, driven directly."""
+    import numpy as np
+
+    from repro.placement import ANUPolicy, TuningContext
+
+    policy, filesets = ANUPolicy(), [f"fs{i:02d}" for i in range(40)]
+    state = {"servers": ["s0", "s1", "s2", "s3"]}
+    policy.initial_assignment(filesets, state["servers"])
+
+    def round_():
+        servers = state["servers"]
+        policy.update(TuningContext(
+            time=0.0, filesets=filesets, servers=servers, assignment={},
+            reports=_latencies(servers, len(calls)),
+            rng=np.random.default_rng(0),
+        ))
+
+    def change_membership():
+        state["servers"] = ["s0", "s2", "s3"]
+        policy.on_membership_change(filesets, state["servers"], {})
+
+    return round_, policy.fail_delegate, change_membership
+
+
+def _cluster_stack(calls):
+    """The metadata cluster (the full-system harness's delegate), with
+    fail-over and membership routed through its director."""
+    from repro.fs import MetadataCluster
+    from repro.membership.faults import FaultEvent, FaultKind
+
+    cluster = MetadataCluster(
+        ["server0", "server1", "server2", "server3"],
+        {f"fs{i}": f"/p{i}" for i in range(6)},
+    )
+    return (
+        lambda: cluster.retune(_latencies(cluster.roster.live(), len(calls))),
+        lambda: cluster.director.apply(
+            FaultEvent(0.0, FaultKind.DELEGATE_CRASH, "*")
+        ),
+        lambda: cluster.fail_server("server1"),
+    )
+
+
+def _node_stack(calls):
+    """The message-level ServerNode delegate on a 3-node control plane; a
+    round is whatever the elected delegate runs next."""
+    from repro.membership.faults import FaultEvent, FaultKind
+    from repro.proto import ControlPlane, ProtocolConfig
+
+    plane = ControlPlane(
+        3, seed=8,
+        protocol_config=ProtocolConfig(
+            heartbeat_interval=0.5, heartbeat_timeout=1.6,
+            election_timeout=0.3, report_timeout=0.3, tuning_interval=3.0,
+        ),
+        latency_model=lambda name, now: _latencies([name], int(now))[0],
+    )
+    plane.start()
+
+    def round_():
+        before = len(calls)
+        while len(calls) == before:
+            plane.run_until(plane.engine.now + 0.1)
+
+    return (
+        round_,
+        lambda: plane.apply_fault(
+            FaultEvent(plane.engine.now, FaultKind.DELEGATE_CRASH, "*")
+        ),
+        # node02, the crashed delegate, recovers, outranks its successor
+        # and takes the role back: its pre-crash reports must not survive.
+        lambda: plane.recover("node02"),
+    )
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        pytest.param(_policy_stack, id="ANUPolicy"),
+        pytest.param(_cluster_stack, id="MetadataCluster"),
+        pytest.param(_node_stack, id="ServerNode"),
+    ],
+)
+def test_delegate_round_forgets_history_on_failover_and_membership_change(
+    stack, monkeypatch
+):
+    calls: list[tuple[list[ServerReport], list[ServerReport] | None]] = []
+    original = DelegateTuner.compute
+
+    def spy(self, current_shares, reports, previous=None):
+        calls.append((list(reports), previous))
+        return original(self, current_shares, reports, previous)
+
+    monkeypatch.setattr(DelegateTuner, "compute", spy)
+    round_, fail_over, change_membership = stack(calls)
+    for step in (round_, round_, fail_over, round_, round_,
+                 change_membership, round_, round_):
+        step()
+    assert len(calls) == 6
+    for k, (_reports, previous) in enumerate(calls):
+        if k in (0, 2, 4):  # first round, after fail-over, after membership
+            assert previous is None, f"round {k} saw stale history"
+        else:
+            assert previous == calls[k - 1][0], f"round {k} lost its history"
