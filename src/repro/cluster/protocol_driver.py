@@ -132,7 +132,6 @@ class ProtocolDrivenCluster:
                 tuning=tuning,
                 initial_shares={s: 1.0 for s in server_names},
                 telemetry=telemetry,
-                queue_source=self._make_queue_source(name),
             )
             self.nodes[name] = node
         for t in delegate_crash_times:
@@ -155,16 +154,6 @@ class ProtocolDrivenCluster:
             return self.sim.collector.interval_report(
                 name, max(0.0, now - interval), now
             )
-
-        return source
-
-    def _make_queue_source(self, name: str):
-        """Expose the server's instantaneous queue depth to its node —
-        the routing plane's signal, piggybacked on report replies."""
-
-        def source() -> int:
-            server = self.sim.servers.get(name)
-            return server.facility.queue_length if server is not None else 0
 
         return source
 
@@ -227,7 +216,6 @@ class ProtocolDrivenCluster:
                 initial_shares={s: 1.0 for s in sorted(self.nodes)}
                 | {event.server: 1.0},
                 telemetry=self._telemetry,
-                queue_source=self._make_queue_source(event.server),
             )
             self.nodes[event.server] = node
             node.start()

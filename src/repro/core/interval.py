@@ -25,6 +25,7 @@ existing load".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -68,6 +69,8 @@ def fractions_to_ticks(
     s = sum(vals)
     if s <= 0:
         raise IntervalError("all shares are zero; at least one server must own load")
+    if not s < math.inf:
+        raise IntervalError(f"shares {shares!r} do not sum to a finite total")
     quotas = [v / s * total for v in vals]
     floors = [int(q) for q in quotas]
     shortfall = total - sum(floors)
@@ -404,7 +407,8 @@ class MappedInterval:
             raise IntervalError(f"share_fraction {share_fraction!r} outside (0, 1)")
         # All argument checks passed: only now may the interval change.
         # Repartitioning before validating would leave p doubled (state
-        # torn) when a bad share_fraction raises (RPL106).
+        # torn) when a bad share_fraction raises; the contract-atomicity
+        # test checks every decorated mutator for this.
         self._mutated()
         while self._p < 2 * (n_new + 1):
             self.repartition()

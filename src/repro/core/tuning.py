@@ -308,9 +308,9 @@ class DelegateRoundDriver:
     timed full-system harnesses) and the message-level
     ``ServerNode`` delegate each own one.  Their hosts call :meth:`reset`
     on a delegate fail-over and on a membership change, so the next round
-    runs with the divergent gate skipped.  Reports from servers absent
-    this round are filtered out of the previous set, so the gate only ever
-    compares a server against its own history.
+    runs with the divergent gate skipped.  The gate looks up a server's
+    previous latency by that server's own name, so it only ever compares a
+    server against its own history.
     """
 
     def __init__(self, config: TuningConfig | None = None) -> None:
@@ -324,10 +324,9 @@ class DelegateRoundDriver:
         reports: Sequence[ServerReport],
     ) -> TuningDecision:
         """One delegate round over ``reports``; updates report history."""
-        previous: list[ServerReport] | None = None
-        if self.previous_reports is not None:
-            previous = [r for r in self.previous_reports if r.name in shares]
-        decision = self.tuner.compute(shares, list(reports), previous)
+        decision = self.tuner.compute(
+            shares, list(reports), self.previous_reports
+        )
         self.previous_reports = list(reports)
         self.rounds_run += 1
         return decision

@@ -156,6 +156,8 @@ class MetadataCluster:
         source = self.owner_of(fileset)
         if source == destination:
             return False
+        if destination not in self.services:
+            raise FSError(f"unknown destination server {destination!r}")
         self.services[source].release_fileset(fileset, now=now)
         self.services[destination].acquire_fileset(fileset)
         self._ownership[fileset] = destination

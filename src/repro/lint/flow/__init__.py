@@ -1,10 +1,9 @@
 """Whole-program analysis for ``repro-lint``: the ``flow`` subpackage.
 
 Per-file AST visitors cannot see the bugs that cross function
-boundaries: interval/ownership state mutated around the contract layer,
-a telemetry pair split by a raise, a mutator that writes protected state
-and then validates.  This subpackage holds the interprocedural
-framework those rules share:
+boundaries: interval/ownership state mutated around the contract layer
+by code that no contract wrapper runs after.  This subpackage holds the
+interprocedural framework that rule is built on:
 
 - :mod:`~repro.lint.flow.symbols` — a project-wide symbol table and
   import resolver (relative imports, ``__init__`` re-exports);
@@ -14,13 +13,7 @@ framework those rules share:
 - :mod:`~repro.lint.flow.dataflow` — a forward data-flow engine that
   resolves each attribute store's receiver class across function
   boundaries;
-- :mod:`~repro.lint.flow.effects` — per-function effect summaries
-  (self writes, telemetry emissions, validate-at-head raises) closed
-  over the call graph;
-- the three rules built on top:
-  :mod:`~repro.lint.flow.mutation` (RPL103),
-  :mod:`~repro.lint.flow.telemetry_gap` (RPL105),
-  :mod:`~repro.lint.flow.torn_state` (RPL106);
+- the rule built on top: :mod:`~repro.lint.flow.mutation` (RPL103);
 - :mod:`~repro.lint.flow.cache` — an on-disk content-hash cache so warm
   full-tree runs skip parsing and analysis entirely.
 

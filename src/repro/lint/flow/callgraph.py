@@ -60,8 +60,6 @@ class CallGraph:
         #: caller qualname -> set of callee qualnames.
         self.edges: dict[str, set[str]] = {}
         self.unknown: list[UnknownCall] = []
-        #: fn qualname -> inferred receiver types (see :meth:`_local_types`).
-        self._types_cache: dict[str, dict[str, str]] = {}
         for module in project.modules.values():
             self._collect_functions(module)
         for fn in list(self.functions.values()):
@@ -131,6 +129,8 @@ class CallGraph:
     # Edge construction
     # ------------------------------------------------------------------
     def _collect_edges(self, fn: FunctionNode) -> None:
+        module = self.project.modules[fn.module]
+        types = self._local_types(fn)
         # Only walk this function's own calls, not nested defs (those are
         # separate nodes); ast.walk can't express that, so use a stack.
         stack = list(ast.iter_child_nodes(fn.node))
@@ -141,7 +141,7 @@ class CallGraph:
             stack.extend(ast.iter_child_nodes(node))
             if not isinstance(node, ast.Call):
                 continue
-            callee = self.resolve_site(fn, node)
+            callee = self._resolve_call(module, fn, node, types)
             if callee is not None:
                 self.edges.setdefault(fn.qualname, set()).add(callee)
             else:
@@ -253,20 +253,6 @@ class CallGraph:
                 return found
         return None
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def resolve_site(self, fn: FunctionNode, call: ast.Call) -> str | None:
-        """Resolve one call site inside ``fn`` to a function qualname.
-
-        Edge construction goes through here too; it is exposed per-site
-        so analyses that care about *statement order* (the telemetry-gap
-        and torn-state walkers) can ask about a specific call rather
-        than the order-less edge set.
-        """
-        module = self.project.modules[fn.module]
-        return self._resolve_call(module, fn, call, self._local_types(fn))
-
     def _local_types(self, fn: FunctionNode) -> dict[str, str]:
         """Map receiver expressions to project class qualnames in ``fn``.
 
@@ -274,14 +260,11 @@ class CallGraph:
         are class qualnames.  Covers annotated parameters, ``x =
         ClassName(...)`` local constructor assignments, and ``self.attr``
         types pinned by the enclosing class.  Everything else stays
-        unknown.  Cached per function.
+        unknown.
         """
-        types = self._types_cache.get(fn.qualname)
-        if types is not None:
-            return types
         project = self.project
         module = project.modules[fn.module]
-        types = {}
+        types: dict[str, str] = {}
         args = fn.node.args
         for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
             found = annotation_class(project, module, arg.annotation)
@@ -310,7 +293,6 @@ class CallGraph:
         if fn.owner is not None:
             for attr, qual in class_attr_types(project, module, fn.owner).items():
                 types[f"self.{attr}"] = qual
-        self._types_cache[fn.qualname] = types
         return types
 
 

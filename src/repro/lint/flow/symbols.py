@@ -66,15 +66,6 @@ class ClassInfo:
         """Whether the class defines ``__init__`` itself."""
         return "__init__" in self.methods
 
-    def init_params(self) -> list[str]:
-        """Positional parameter names of ``__init__`` (including self)."""
-        init = self.methods.get("__init__")
-        if init is None:
-            # Dataclass-style: synthesize (self, *fields).
-            return ["self", *self.fields]
-        args = init.args
-        return [a.arg for a in [*args.posonlyargs, *args.args]]
-
 
 class Module:
     """One parsed package file plus its symbol table."""

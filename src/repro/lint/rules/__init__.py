@@ -15,17 +15,21 @@ Rule catalogue
 - ``RPL008`` — bare ``except:``
 - ``RPL009`` — ``global`` statement in production code
 
-Interprocedural (flow) rules — see :mod:`repro.lint.flow`:
+Interprocedural (flow) rule — see :mod:`repro.lint.flow`:
 
 - ``RPL103`` — mutation of contract-protected state outside mutators
-- ``RPL105`` — telemetry pair split by an exception path
-- ``RPL106`` — protected state written before a reachable raise
 
 Determinism itself is guarded at runtime, not here: the golden replays,
 ``repro-dsan`` (hash-seed and GC perturbation), and the serial-vs-process
 comparison of sweep merges catch wall-clock reads, unordered iteration,
 RNG-stream leaks, unit mix-ups, and worker-order dependence by replaying
-them.  The rules above cover what no replay check backs up.
+them.  Failure-path atomicity is runtime-checked too:
+``tests/test_contract_atomicity.py`` calls every contract-decorated
+mutator with outside-caller arguments and asserts a rejected call leaves
+the validated state untouched, and the chaos soak's pairing law
+(:class:`repro.membership.soak.PairingLaw`) checks that every
+``FaultInjected`` record is completed and every move start finishes.
+The rules above cover what no runtime check backs up.
 """
 
 from __future__ import annotations
@@ -158,7 +162,7 @@ def dotted_name(node: ast.AST) -> tuple[str, ...]:
 
 
 # Import rule modules for their registration side effects.  The flow
-# modules import back into this package (FlowRule, dotted_name), which is
-# safe because everything they need is defined above this line.
+# module imports back into this package (FlowRule), which is safe
+# because everything it needs is defined above this line.
 from . import arithmetic, determinism, hygiene  # noqa: E402,F401
-from ..flow import mutation, telemetry_gap, torn_state  # noqa: E402,F401
+from ..flow import mutation  # noqa: E402,F401

@@ -173,7 +173,8 @@ class MembershipDirector:
         # Legality first: the roster transition validates (and records)
         # the membership change, raising LifecycleError on an illegal
         # event *before* any telemetry is published — a rejected event
-        # must leave no trace in the record stream (RPL105).  The roster
+        # must leave no trace in the record stream (the soak's
+        # PairingLaw checks this on every record).  The roster
         # emits nothing itself, so for legal events the stream is
         # byte-identical to emitting up front.
         if kind is FaultKind.DELEGATE_CRASH:
@@ -183,8 +184,10 @@ class MembershipDirector:
                     f"server(s); fail-over needs a surviving server"
                 )
         elif kind is FaultKind.FAIL:
+            self._require_survivor(event)
             self.roster.fail(event.server)
         elif kind is FaultKind.DECOMMISSION:
+            self._require_survivor(event)
             self.roster.decommission(event.server)
         elif kind is FaultKind.RECOVER:
             self.roster.recover(event.server)
@@ -274,6 +277,16 @@ class MembershipDirector:
         return change
 
     # ------------------------------------------------------------------
+    def _require_survivor(self, event: FaultEvent) -> None:
+        """Reject taking down the last live server: no host can re-place
+        its file sets, so the change would fail half-applied.  The
+        schedule validator rejects the same event."""
+        if self.roster.is_live(event.server) and self.roster.live_count == 1:
+            raise LifecycleError(
+                f"{event.kind.value} of {event.server!r} would leave no "
+                f"live server"
+            )
+
     def _rebalance(self, now: Seconds) -> ReconfigDiff | None:
         """Re-place after the server-set change and realize the diff."""
         pair = self.host.membership_assignment()

@@ -15,7 +15,8 @@ the stack's own invariants are checked *after each membership event*:
 
 - queueing stack — ``ClusterSimulation.check_invariants`` plus
   ownership-targets-live-servers on every ``membership`` telemetry
-  record, and request conservation at the end of the run;
+  record, the :class:`PairingLaw` on every record, and request
+  conservation at the end of the run;
 - semantic stack — ``MetadataCluster.check_consistency`` and the ANU
   region-map invariants after every director application, plus
   durability of checkpointed files across the whole sequence;
@@ -31,13 +32,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-from typing import Sequence
+from typing import NoReturn, Sequence
 
+from ..runtime.telemetry import (
+    FaultInjected,
+    MembershipChanged,
+    MoveFinished,
+    MoveStarted,
+    SpeedChanged,
+    TelemetryRecord,
+)
 from ..units import Seconds
 from .faults import FaultKind
 from .injector import ChaosProfile, FaultInjector
 
 __all__ = [
+    "PairingLaw",
     "SOAK_CHURN",
     "SOAK_LIMP",
     "PROTO_CHURN",
@@ -100,6 +110,72 @@ PROTO_LIMP = dataclasses.replace(
 )
 
 
+class PairingLaw:
+    """Streaming check that the telemetry stream's record pairs complete.
+
+    Two rules, checked record by record (:meth:`observe`) and at the end
+    of the stream (:meth:`close`):
+
+    - every ``FaultInjected`` is followed, before the next
+      ``FaultInjected``, by exactly one completion record with the same
+      time and server — ``SpeedChanged`` for ``degrade``/``restore``,
+      ``MembershipChanged`` for every other fault — and no fault is
+      still open when the stream ends;
+    - for each file set, the last ``MoveStarted`` is followed by a
+      ``MoveFinished`` to the same destination.
+
+    A rejected membership event must leave no record at all, so a
+    director that announced a fault before validating it breaks the
+    first rule.  Violations raise :class:`AssertionError`; ``context``
+    is appended to the message (the soak passes the seed).
+    """
+
+    def __init__(self, context: str = "") -> None:
+        self._suffix = f" ({context})" if context else ""
+        self._open_fault: FaultInjected | None = None
+        #: file set -> destination of its last unfinished move start.
+        self._moving: dict[str, str] = {}
+
+    def observe(self, record: TelemetryRecord) -> None:
+        """Check one record against the stream seen so far."""
+        fault = self._open_fault
+        if isinstance(record, FaultInjected):
+            if fault is not None:
+                self._fail(f"{fault} has no completion before {record}")
+            self._open_fault = record
+        elif isinstance(record, (MembershipChanged, SpeedChanged)):
+            if fault is None:
+                self._fail(f"{record} completes no open fault")
+            gray = fault.fault in (FaultKind.DEGRADE.value, FaultKind.RESTORE.value)
+            completion = SpeedChanged if gray else MembershipChanged
+            if not isinstance(record, completion) or (
+                record.time, record.server
+            ) != (fault.time, fault.server):
+                self._fail(f"{fault} completed by {record}")
+            self._open_fault = None
+        elif isinstance(record, MoveStarted):
+            self._moving[record.fileset] = record.destination
+        elif (
+            isinstance(record, MoveFinished)
+            and self._moving.get(record.fileset) == record.destination
+        ):
+            del self._moving[record.fileset]
+
+    def close(self) -> None:
+        """Check the end of the stream: nothing may be left open."""
+        if self._open_fault is not None:
+            self._fail(f"{self._open_fault} never completed")
+        if self._moving:
+            fileset = min(self._moving)
+            self._fail(
+                f"move of {fileset!r} to {self._moving[fileset]!r} never "
+                f"finished ({len(self._moving)} open)"
+            )
+
+    def _fail(self, message: str) -> NoReturn:
+        raise AssertionError(f"pairing law: {message}{self._suffix}")
+
+
 def soak_cluster(
     seed: int, quick: bool = False, limp: bool = False
 ) -> dict[str, float]:
@@ -131,10 +207,12 @@ def soak_cluster(
         seed=1,
     )
     policy = ANUPolicy()
+    law = PairingLaw(f"seed {seed}")
     checks = 0
 
     def _on_record(record) -> None:
         nonlocal checks
+        law.observe(record)
         if record.kind == "speed":
             # A gray failure must land on a live server and keep the
             # roster and the harness's effective speed in lockstep.
@@ -167,6 +245,7 @@ def soak_cluster(
         config, policy, trace, faults, telemetry=CallbackSink(_on_record)
     )
     result = sim.run()
+    law.close()
     if sum(result.completed.values()) != len(trace):
         raise AssertionError(
             f"lost/duplicated requests: completed "

@@ -41,7 +41,6 @@ class ANUPolicy(PlacementPolicy):
         self.rounds = DelegateRoundDriver(config)
         self._hash_family = hash_family
         self.placement: ANUPlacement | None = None
-        self.decisions: list[float] = []  # average latency per round, for tests
         #: (time, server -> share fraction) after each tuning round —
         #: the region-evolution record behind Figures 3-5's dynamics.
         self.share_history: list[tuple[float, dict[str, float]]] = []
@@ -59,7 +58,6 @@ class ANUPolicy(PlacementPolicy):
     def update(self, context: TuningContext) -> dict[str, str] | None:
         placement = self._require_placement()
         decision = self.rounds.compute(placement.shares(), context.reports)
-        self.decisions.append(decision.average)
         if not decision.tuned:
             return None
         placement.set_shares(decision.new_shares)

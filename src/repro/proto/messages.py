@@ -37,17 +37,10 @@ class ReportRequest:
 
 @dataclass(frozen=True)
 class ReportReply:
-    """A server's latency report for one collection round.
-
-    ``queue_depth`` piggybacks the node's instantaneous facility queue
-    length on the reply — the routing plane's signal, exposed to the
-    control plane for observability (the delegate tuner itself stays
-    latency-driven).  Defaults to 0 so report-only senders need no change.
-    """
+    """A server's latency report for one collection round."""
 
     round_id: int
     report: ServerReport
-    queue_depth: int = 0
 
 
 @dataclass(frozen=True)

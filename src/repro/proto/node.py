@@ -73,9 +73,6 @@ class ProtocolConfig:
 
 #: Supplies a node's latency report when the delegate asks.
 ReportSource = Callable[[], ServerReport]
-#: Supplies a node's instantaneous facility queue depth (routing-plane
-#: signal, piggybacked on report replies).
-QueueSource = Callable[[], int]
 #: Invoked when a node applies a new configuration.
 ConfigSink = Callable[[dict[str, float], int], None]
 
@@ -95,7 +92,6 @@ class ServerNode:
         tuning: TuningConfig | None = None,
         initial_shares: dict[str, float] | None = None,
         telemetry: TelemetrySink | None = None,
-        queue_source: QueueSource | None = None,
     ) -> None:
         self.name = name
         self.priority = priority
@@ -103,7 +99,6 @@ class ServerNode:
         self.network = network
         self.config = config or ProtocolConfig()
         self.report_source = report_source
-        self.queue_source = queue_source
         self.on_config = on_config
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
         # The same delegate round the other stacks tune through.
@@ -118,8 +113,6 @@ class ServerNode:
         self.epoch = 0
         self.delegate: str | None = None
         self.shares: dict[str, float] = dict(initial_shares or {})
-        self.applied_configs: list[ConfigUpdate] = []
-        self.elections_started = 0
 
         self._last_heartbeat = 0.0
         self._election_pending = False
@@ -127,9 +120,6 @@ class ServerNode:
         self._election_round = 0
         self._round_id = 0
         self._round_replies: dict[int, list[ReportReply]] = {}
-        #: Last collection round's per-server queue depths (routing-plane
-        #: view, refreshed by :meth:`_finish_round` on the delegate).
-        self.last_queue_depths: dict[str, int] = {}
 
         network.register(name, self._on_message)
 
@@ -257,11 +247,8 @@ class ServerNode:
         self.network.send(self.name, src, self._make_reply(req.round_id))
 
     def _make_reply(self, round_id: int) -> ReportReply:
-        """This node's reply: latency report plus piggybacked queue depth."""
-        depth = self.queue_source() if self.queue_source is not None else 0
-        return ReportReply(
-            round_id=round_id, report=self.report_source(), queue_depth=depth
-        )
+        """This node's reply: its latency report for the round."""
+        return ReportReply(round_id=round_id, report=self.report_source())
 
     def _on_report_reply(self, reply: ReportReply) -> None:
         bucket = self._round_replies.get(reply.round_id)
@@ -273,7 +260,6 @@ class ServerNode:
             return  # stale delegate
         self.epoch = update.epoch
         self.shares = dict(update.shares)
-        self.applied_configs.append(update)
         if self.on_config is not None:
             self.on_config(dict(update.shares), update.epoch)
 
@@ -298,7 +284,6 @@ class ServerNode:
         self._election_pending = True
         self._got_ok = False
         self._election_round += 1
-        self.elections_started += 1
         higher = [
             n for n in self.network.nodes
             if n != self.name and self._priority_of(n) > self.priority
@@ -380,13 +365,10 @@ class ServerNode:
         if not self.is_delegate or not replies:
             return
         # Tune only over the servers that answered; shares for silent
-        # servers are preserved as-is.  The shared round driver filters the
-        # previous reports down to this round's responders, so the
-        # divergent gate only compares a server against its own history.
+        # servers are preserved as-is.  The divergent gate looks up each
+        # responder's previous latency by name, so it only compares a
+        # server against its own history.
         named = {reply.report.name: reply.report for reply in replies}
-        self.last_queue_depths = {
-            reply.report.name: reply.queue_depth for reply in replies
-        }
         shares = {
             name: self.shares.get(name, 1.0) for name in named
         }

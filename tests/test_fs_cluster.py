@@ -186,3 +186,16 @@ def test_operations_work_after_fail_and_add_cycle():
     assert client.exists("/projects/p5/x")
     client.create("/projects/p5/y")
     assert client.exists("/projects/p5/y")
+
+
+def test_transfer_to_unknown_server_changes_nothing():
+    """The destination is checked before the source releases its image;
+    before the check the source dropped the file set and the ownership
+    map still named it."""
+    cluster = make_cluster()
+    owner = cluster.owner_of("fs0")
+    with pytest.raises(FSError):
+        cluster.transfer_ownership("fs0", "ghost")
+    assert cluster.owner_of("fs0") == owner
+    assert cluster.services[owner].owns("fs0")
+    cluster.check_consistency()

@@ -260,12 +260,13 @@ def test_locate_point_whole_partition_edges():
 
 
 def test_add_server_invalid_share_leaves_interval_untouched():
-    """Regression (RPL106): a rejected add_server must not repartition.
+    """Regression: a rejected add_server must not repartition.
 
     Before the validate-then-mutate fix, add_server doubled the
     partition count (to fit the prospective newcomer) *before* checking
     share_fraction, so a rejected call left the interval torn: same
-    owners, twice the partitions.
+    owners, twice the partitions.  ``tests/test_contract_atomicity.py``
+    checks the same property for every contract-decorated mutator.
     """
     iv = MappedInterval(["a", "b", "c"])
     partitions_before = iv.partitions
@@ -279,4 +280,17 @@ def test_add_server_invalid_share_leaves_interval_untouched():
     # A legal add still repartitions and lands the newcomer.
     iv.add_server("d")
     assert "d" in iv.servers
+    iv.check_invariants()
+
+
+def test_set_shares_rejects_shares_without_a_finite_total():
+    """Weights whose sum overflows (or is NaN) are rejected up front;
+    before the check, two shares of 1e308 rounded to 4 mapped ticks and
+    tore the half-occupancy invariant."""
+    iv = MappedInterval(["a", "b"])
+    shares_before = dict(iv.shares())
+    for bad in (1e308, float("inf"), float("nan")):
+        with pytest.raises(IntervalError):
+            iv.set_shares({"a": bad, "b": bad})
+        assert dict(iv.shares()) == shares_before
     iv.check_invariants()

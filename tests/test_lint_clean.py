@@ -17,10 +17,14 @@ tests      RPL002 (tests seed ad-hoc generators on purpose),
 benchmarks same as tests — harness code, not simulation code
 ========== =========================================================
 
-The whole-program rules (RPL103, RPL105, RPL106) run wherever package
-files are in the lint set and are never excluded by tree: they analyze
-``src/repro`` itself, so the tree containing the *entry path* is
-irrelevant.
+The whole-program rule (RPL103) runs wherever package files are in the
+lint set and is never excluded by tree: it analyzes ``src/repro`` itself,
+so the tree containing the *entry path* is irrelevant.
+
+Failure-path atomicity is not linted: ``tests/test_contract_atomicity.py``
+checks at runtime that a rejected contract-decorated mutator leaves its
+validated state untouched, and the pairing law in
+``repro.membership.soak`` checks that no telemetry pair is left split.
 """
 
 import pathlib

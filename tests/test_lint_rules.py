@@ -191,7 +191,7 @@ def test_cli_list_rules(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert [line.split()[0] for line in lines] == [
         "RPL002", "RPL004", "RPL005", "RPL006", "RPL007", "RPL008",
-        "RPL009", "RPL103", "RPL105", "RPL106",
+        "RPL009", "RPL103",
     ]
 
 

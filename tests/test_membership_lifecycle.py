@@ -473,13 +473,16 @@ def test_director_illegal_degrade_mutates_nothing():
 
 
 def test_director_rejected_event_emits_no_telemetry():
-    """Regression (RPL105): an illegal event leaves no dangling record.
+    """Regression: an illegal event leaves no dangling record.
 
     Before the validate-then-emit fix the director published
     ``FaultInjected`` *before* asking the roster whether the transition
     was legal, so a rejected event left a fault record with no matching
     ``membership`` record — and any digest-chain comparison against the
-    true harness state diverged from that point on.
+    true harness state diverged from that point on.  The general check
+    is the soak's :class:`~repro.membership.soak.PairingLaw`, run on
+    every chaos-soak record stream and on the director's stream in
+    :func:`test_director_stream_obeys_pairing_law_around_rejected_events`.
     """
     from repro.runtime import MemorySink
 
@@ -505,3 +508,110 @@ def test_director_rejected_event_emits_no_telemetry():
     # A legal event still emits the full fault/membership pair.
     director.apply(FaultEvent(Seconds(5.0), FaultKind.RECOVER, "a"))
     assert [r.kind for r in sink.records] == ["fault", "membership"]
+
+
+def test_director_stream_obeys_pairing_law_around_rejected_events():
+    """Illegal events between legal ones leave every record pair whole.
+
+    The stream runs through the pairing law the chaos soak applies: each
+    ``FaultInjected`` must be completed by its ``MembershipChanged`` (or
+    ``SpeedChanged`` for a limp) before the next fault, so a rejected
+    event that still announced itself fails here.
+    """
+    from repro.membership.soak import PairingLaw
+    from repro.runtime import MemorySink
+
+    roster = MembershipRoster({"a": 1.0, "b": 2.0})
+    sink = MemorySink()
+    director = MembershipDirector(
+        roster, RecordingHost(roster, ["f0", "f1"]), telemetry=sink
+    )
+    steps = [
+        (FaultKind.DEGRADE, "b", True),
+        (FaultKind.RECOVER, "a", False),         # a is live
+        (FaultKind.COMMISSION, "c", True),
+        (FaultKind.COMMISSION, "c", False),      # duplicate commission
+        (FaultKind.FAIL, "c", True),
+        (FaultKind.DEGRADE, "c", False),         # c has crashed
+        (FaultKind.DELEGATE_CRASH, "*", True),
+        (FaultKind.FAIL, "a", True),
+        (FaultKind.DELEGATE_CRASH, "*", False),  # b is the only survivor
+        (FaultKind.RESTORE, "b", True),
+    ]
+    for i, (kind, server, legal) in enumerate(steps):
+        event = FaultEvent(Seconds(float(i)), kind, server, factor=0.5)
+        if legal:
+            director.apply(event)
+        else:
+            with pytest.raises(LifecycleError):
+                director.apply(event)
+    law = PairingLaw()
+    for record in sink.records:
+        law.observe(record)
+    law.close()
+    assert len(sink.of_kind("fault")) == sum(legal for *_, legal in steps)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        # Fault never completed.
+        [("fault", "fail", "a", 1.0)],
+        # Second fault before the first completes.
+        [("fault", "fail", "a", 1.0), ("fault", "recover", "a", 2.0)],
+        # Completion of the wrong type: a limp completes with SpeedChanged.
+        [("fault", "degrade", "a", 1.0), ("membership", "degrade", "a", 1.0)],
+        # Completion for another server, and for another time.
+        [("fault", "fail", "a", 1.0), ("membership", "fail", "b", 1.0)],
+        [("fault", "fail", "a", 1.0), ("membership", "fail", "a", 2.0)],
+        # Completion with no open fault.
+        [("membership", "fail", "a", 1.0)],
+        # The last move start never finishes at its destination.
+        [("move-start", "fs0", "b"), ("move-start", "fs0", "c"),
+         ("move-finish", "fs0", "b")],
+    ],
+)
+def test_pairing_law_rejects_split_pairs(stream):
+    from repro.membership.soak import PairingLaw
+    from repro.runtime.telemetry import (
+        FaultInjected,
+        MembershipChanged,
+        MoveFinished,
+        MoveStarted,
+    )
+
+    build = {
+        "fault": lambda f, s, t: FaultInjected(time=t, fault=f, server=s),
+        "membership": lambda f, s, t: MembershipChanged(
+            time=t, fault=f, server=s, live=1
+        ),
+        "move-start": lambda fs, d: MoveStarted(
+            time=0.0, fileset=fs, source="a", destination=d
+        ),
+        "move-finish": lambda fs, d: MoveFinished(
+            time=0.0, fileset=fs, destination=d
+        ),
+    }
+    law = PairingLaw()
+    with pytest.raises(AssertionError, match="pairing law"):
+        for kind, *fields in stream:
+            law.observe(build[kind](*fields))
+        law.close()
+
+
+@pytest.mark.parametrize("kind", [FaultKind.FAIL, FaultKind.DECOMMISSION])
+def test_director_rejects_taking_down_the_last_live_server(kind):
+    """No host can re-place the last server's file sets, so the event is
+    rejected before the roster, the host or the sink sees it."""
+    from repro.runtime import MemorySink
+
+    roster = MembershipRoster({"a": 1.0, "b": 2.0})
+    host = RecordingHost(roster, ["f0", "f1"])
+    sink = MemorySink()
+    director = MembershipDirector(roster, host, telemetry=sink)
+    director.apply(FaultEvent(Seconds(1.0), FaultKind.FAIL, "a"))
+    calls, records = list(host.calls), list(sink.records)
+    with pytest.raises(LifecycleError):
+        director.apply(FaultEvent(Seconds(2.0), kind, "b"))
+    assert roster.live() == ["b"]
+    assert host.calls == calls and sink.records == records
