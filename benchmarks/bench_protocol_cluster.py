@@ -14,6 +14,7 @@ from conftest import quick_mode, run_once
 
 from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
 from repro.cluster.protocol_driver import ProtocolDrivenCluster
+from repro.membership import FaultSchedule
 from repro.placement import ANUPolicy
 from repro.proto import NetworkConfig
 from repro.workloads import SyntheticConfig, generate_synthetic
@@ -32,7 +33,7 @@ def run_both():
     protocol = ProtocolDrivenCluster(
         cfg, trace,
         network=NetworkConfig(min_latency=0.001, max_latency=0.02, loss=0.05),
-        delegate_crash_times=[duration / 2],
+        faults=FaultSchedule().delegate_crash(duration / 2),
     ).run()
     return direct, protocol
 

@@ -197,7 +197,6 @@ class Scenario:
         self,
         telemetry: TelemetrySink | None = None,
         protocol: "ProtocolConfig | None" = None,
-        delegate_crash_times: Sequence[float] = (),
     ) -> "ProtocolRunResult":
         """Run the scenario with tuning driven over the message protocol."""
         from ..cluster.cluster import ClusterConfig
@@ -214,7 +213,6 @@ class Scenario:
             self.cluster_trace(),
             tuning=self.tuning,
             protocol=protocol,
-            delegate_crash_times=delegate_crash_times,
             telemetry=telemetry,
             faults=self.fault_schedule(),
             router=self.make_router(),
