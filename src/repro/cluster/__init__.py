@@ -13,7 +13,6 @@
 
 from .cluster import ClusterConfig, ClusterSimulation, RunResult, paper_servers
 from .protocol_driver import (
-    PassiveANUPolicy,
     ProtocolDrivenCluster,
     ProtocolRunResult,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "paper_servers",
     "ProtocolDrivenCluster",
     "ProtocolRunResult",
-    "PassiveANUPolicy",
     "FaultSchedule",
     "FaultEvent",
     "FaultKind",

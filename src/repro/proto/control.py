@@ -204,7 +204,11 @@ class ControlPlane:
         return victim
 
     def membership_assignment(self) -> None:
-        """The control plane manages no file-set placement."""
+        """The control plane manages no file-set placement, but the
+        delegate's report history straddles the change: every node
+        forgets it, as the other stacks' delegates do."""
+        for node in self.nodes.values():
+            node.forget_history()
         return None
 
     def realize_membership(
