@@ -13,6 +13,7 @@ from repro.core.tuning import (
     TuningConfig,
     system_average,
 )
+from repro.membership.faults import FaultEvent, FaultKind
 
 
 def reports(latencies: dict[str, float], count: int = 100) -> list[ServerReport]:
@@ -286,13 +287,22 @@ def test_median_average_robust_to_outlier():
 # ----------------------------------------------------------------------
 # One delegate round per stack: history resets on the paper's two events
 # ----------------------------------------------------------------------
+#: The membership changes that re-place file sets; each is applied to a
+#: server that is not the delegate at the time.
+MEMBERSHIP_KINDS = [
+    FaultKind.FAIL, FaultKind.RECOVER, FaultKind.COMMISSION,
+    FaultKind.DECOMMISSION,
+]
+
+
 def _latencies(servers, step):
     """Reports that differ from round to round, so histories are told apart."""
     return reports({s: 0.01 * (1 + (i + step) % 3) for i, s in enumerate(servers)})
 
 
-def _policy_stack(calls):
-    """The queueing cluster's ANUPolicy, driven directly."""
+def _policy_stack(calls, kind):
+    """The queueing cluster's ANUPolicy, driven directly; a membership
+    change is the server set it is re-placed over."""
     import numpy as np
 
     from repro.placement import ANUPolicy, TuningContext
@@ -300,6 +310,13 @@ def _policy_stack(calls):
     policy, filesets = ANUPolicy(), [f"fs{i:02d}" for i in range(40)]
     state = {"servers": ["s0", "s1", "s2", "s3"]}
     policy.initial_assignment(filesets, state["servers"])
+
+    def place(servers):
+        state["servers"] = servers
+        policy.on_membership_change(filesets, servers, {})
+
+    if kind is FaultKind.RECOVER:
+        place(["s0", "s2", "s3"])  # s1 starts down
 
     def round_():
         servers = state["servers"]
@@ -309,36 +326,44 @@ def _policy_stack(calls):
             rng=np.random.default_rng(0),
         ))
 
-    def change_membership():
-        state["servers"] = ["s0", "s2", "s3"]
-        policy.on_membership_change(filesets, state["servers"], {})
+    after = {
+        FaultKind.FAIL: ["s0", "s2", "s3"],
+        FaultKind.RECOVER: ["s0", "s1", "s2", "s3"],
+        FaultKind.COMMISSION: ["s0", "s1", "s2", "s3", "s4"],
+        FaultKind.DECOMMISSION: ["s0", "s2", "s3"],
+    }[kind]
+    return round_, policy.fail_delegate, lambda: place(after)
 
-    return round_, policy.fail_delegate, change_membership
 
-
-def _cluster_stack(calls):
+def _cluster_stack(calls, kind):
     """The metadata cluster (the full-system harness's delegate), with
     fail-over and membership routed through its director."""
     from repro.fs import MetadataCluster
-    from repro.membership.faults import FaultEvent, FaultKind
 
     cluster = MetadataCluster(
         ["server0", "server1", "server2", "server3"],
         {f"fs{i}": f"/p{i}" for i in range(6)},
     )
+
+    def apply(kind, server):
+        cluster.director.apply(FaultEvent(0.0, kind, server))
+
+    if kind is FaultKind.RECOVER:
+        apply(FaultKind.FAIL, "server1")  # server1 starts down
+    server = "server4" if kind is FaultKind.COMMISSION else "server1"
     return (
         lambda: cluster.retune(_latencies(cluster.roster.live(), len(calls))),
-        lambda: cluster.director.apply(
-            FaultEvent(0.0, FaultKind.DELEGATE_CRASH, "*")
-        ),
-        lambda: cluster.fail_server("server1"),
+        lambda: apply(FaultKind.DELEGATE_CRASH, "*"),
+        lambda: apply(kind, server),
     )
 
 
-def _node_stack(calls):
+def _node_stack(calls, kind):
     """The message-level ServerNode delegate on a 3-node control plane; a
-    round is whatever the elected delegate runs next."""
-    from repro.membership.faults import FaultEvent, FaultKind
+    round is whatever the elected delegate runs next.  node02 is the
+    first delegate and the fail-over's victim, so node01 is the delegate
+    when node00 fails, recovers or is decommissioned.  A commissioned
+    node outranks every existing one and takes the role itself."""
     from repro.proto import ControlPlane, ProtocolConfig
 
     plane = ControlPlane(
@@ -350,23 +375,27 @@ def _node_stack(calls):
         latency_model=lambda name, now: _latencies([name], int(now))[0],
     )
     plane.start()
+    if kind is FaultKind.RECOVER:
+        plane.crash("node00")  # node00 starts down
 
     def round_():
         before = len(calls)
         while len(calls) == before:
             plane.run_until(plane.engine.now + 0.1)
 
+    server = "node03" if kind is FaultKind.COMMISSION else "node00"
     return (
         round_,
         lambda: plane.apply_fault(
             FaultEvent(plane.engine.now, FaultKind.DELEGATE_CRASH, "*")
         ),
-        # node02, the crashed delegate, recovers, outranks its successor
-        # and takes the role back: its pre-crash reports must not survive.
-        lambda: plane.recover("node02"),
+        lambda: plane.apply_fault(FaultEvent(plane.engine.now, kind, server)),
     )
 
 
+@pytest.mark.parametrize(
+    "kind", MEMBERSHIP_KINDS, ids=[k.value for k in MEMBERSHIP_KINDS]
+)
 @pytest.mark.parametrize(
     "stack",
     [
@@ -376,7 +405,7 @@ def _node_stack(calls):
     ],
 )
 def test_delegate_round_forgets_history_on_failover_and_membership_change(
-    stack, monkeypatch
+    stack, kind, monkeypatch
 ):
     calls: list[tuple[list[ServerReport], list[ServerReport] | None]] = []
     original = DelegateTuner.compute
@@ -386,7 +415,7 @@ def test_delegate_round_forgets_history_on_failover_and_membership_change(
         return original(self, current_shares, reports, previous)
 
     monkeypatch.setattr(DelegateTuner, "compute", spy)
-    round_, fail_over, change_membership = stack(calls)
+    round_, fail_over, change_membership = stack(calls, kind)
     for step in (round_, round_, fail_over, round_, round_,
                  change_membership, round_, round_):
         step()
