@@ -102,8 +102,8 @@ class MembershipHost(Protocol):
     ) -> tuple[dict[str, str], dict[str, str]] | None:
         """(old, new) file-set assignments after the server-set change,
         or ``None`` when this host manages no placement (control plane).
-        The host also forgets its delegate's report history here: it
-        straddles the change."""
+        Every host, the control plane too, also forgets its delegate's
+        report history here: it straddles the change."""
 
     def realize_membership(
         self, old: dict[str, str], new: dict[str, str], now: Seconds
