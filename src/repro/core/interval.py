@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..contracts import checks_invariants, preserves
 from ..units import Ticks
@@ -296,11 +296,13 @@ class MappedInterval:
             delta = self._shares[name] - targets[name]
             if delta > 0:
                 self._shrink(name, delta)
-        # Phase 2: grow.
+        # Phase 2: grow.  No grow frees a partition, so one ascending
+        # free list serves every grower in turn.
+        free = iter(self.free_partitions())
         for name in sorted(targets):
             delta = targets[name] - self._shares[name]
             if delta > 0:
-                self._grow(name, delta)
+                self._grow(name, delta, free)
 
     def _mutated(self) -> None:
         """Invalidate cached derived state (the segments cache)."""
@@ -349,7 +351,7 @@ class MappedInterval:
             self._prefix[idx] = ticks
             self._shares[name] -= delta
 
-    def _grow(self, name: str, delta: int) -> None:
+    def _grow(self, name: str, delta: int, free: Iterator[int]) -> None:
         self._mutated()
         psize = self.partition_ticks
         partial = self._partial[name]
@@ -368,10 +370,7 @@ class MappedInterval:
             self._prefix[idx] = ticks
         if delta == 0:
             return
-        free = sorted(i for i in range(self._p) if self._owner[i] is None)
         for idx in free:
-            if delta == 0:
-                break
             take = min(psize, delta)
             self._owner[idx] = name
             self._prefix[idx] = take
@@ -381,6 +380,10 @@ class MappedInterval:
                 self._full[name].add(idx)
             else:
                 self._partial[name] = (idx, take)
+            # Tested after the claim: an index drawn from the shared
+            # iterator and not claimed would be lost to later growers.
+            if delta == 0:
+                break
         if delta > 0:
             raise IntervalError(
                 f"internal: no free space left growing {name!r} ({delta} ticks short)"
