@@ -5,8 +5,9 @@ paper's experiments at full published scale by default; set
 ``REPRO_BENCH_QUICK=1`` to run the same shapes at reduced scale.  Each
 figure bench prints the series/rows the paper's figure plots, so
 ``pytest benchmarks/ --benchmark-only`` output doubles as the reproduction
-record (EXPERIMENTS.md quotes it).  The gated microbenchmark suites
-(``repro-bench``) have one size and do not read it.
+record (EXPERIMENTS.md quotes it).  Nothing here is a gate: the timed
+benchmark is ``benchmarks/e2e/``, and the scaling checks for paths it
+does not reach are counted in ``tests/test_counted_work.py``.
 """
 
 from __future__ import annotations

@@ -48,9 +48,6 @@ Subpackages
     scheduling, the unified :class:`~repro.runtime.result.SimResult`, the
     structured telemetry event stream, and the harness-agnostic
     :class:`~repro.runtime.scenario.Scenario` assembly.
-``repro.bench``
-    Persistent benchmark-regression harness (the ``repro-bench`` CLI):
-    median-of-k timing, schema-versioned reports, baseline gating.
 """
 
 from .core import (
