@@ -381,8 +381,8 @@ class DigestSink(TelemetrySink):
     chains for the first divergent event instead of replaying both
     streams side by side.  (``repr`` rather than JSON: float reprs are
     exact shortest round-trips, and skipping the dict build plus
-    serializer keeps the per-record cost a few microseconds — the bench
-    suite gates a full hashed run at roughly 2x the silent run.)
+    serializer keeps the per-record cost a few microseconds; the e2e
+    ``fig6-limp-digest`` workload times a full hashed run.)
 
     With ``keep_records=True`` the raw records are retained as well so
     the divergent event can be *named*, not just indexed; leave it off

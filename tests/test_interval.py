@@ -1,5 +1,7 @@
 """Unit tests for the partitioned unit interval."""
 
+import random
+
 import pytest
 
 from repro.core.interval import (
@@ -294,3 +296,36 @@ def test_set_shares_rejects_shares_without_a_finite_total():
             iv.set_shares({"a": bad, "b": bad})
         assert dict(iv.shares()) == shares_before
     iv.check_invariants()
+
+
+class PerGrowerRebuild(MappedInterval):
+    """Rebuilds the ascending free list for every grower, as ``set_shares``
+    did before one list was shared across phase 2."""
+
+    def _grow(self, name, delta, free):
+        rebuilt = sorted(i for i in range(self._p) if self._owner[i] is None)
+        super()._grow(name, delta, iter(rebuilt))
+
+
+def test_shared_free_list_claims_what_a_per_grower_rebuild_claims():
+    """Sharing one free list changes no claimed partition: shrinks all run
+    before grows, so each grower sees the same free indices either way."""
+    rng = random.Random(11)
+    names = [f"s{i}" for i in range(12)]
+    shared, rebuilt = MappedInterval(names), PerGrowerRebuild(names)
+    for step in range(60):
+        if step % 15 == 7:
+            victim = rng.choice(shared.servers)
+            shared.remove_server(victim)
+            rebuilt.remove_server(victim)
+        elif step % 15 == 14:
+            shared.add_server(f"n{step}")
+            rebuilt.add_server(f"n{step}")
+        else:
+            target = {s: rng.choice([0.01, 0.5, 1.0, 3.0]) for s in shared.servers}
+            shared.set_shares(target)
+            rebuilt.set_shares(target)
+        assert shared._owner == rebuilt._owner
+        assert shared._prefix == rebuilt._prefix
+        assert shared._partial == rebuilt._partial
+        shared.check_invariants()
