@@ -103,6 +103,16 @@ class ANUPlacement:
     def servers(self) -> list[str]:
         return self.interval.servers
 
+    @property
+    def epoch(self) -> int:
+        """Mutation epoch: changes whenever any placement may have changed.
+
+        Every share update and membership change bumps it, so a value
+        derived from the placement stays valid while the epoch it was
+        derived under is current.
+        """
+        return self.interval._generation
+
     def shares(self) -> dict[str, int]:
         """Current mapped-region sizes in interval ticks."""
         return self.interval.shares()

@@ -42,15 +42,14 @@ class FileSetRegistry:
         if not roots:
             raise FSError("need at least one file set")
         self._root_of: dict[str, str] = {}
+        #: Normalized root path -> file-set name, for ancestor lookups.
+        self._fileset_at: dict[str, str] = {}
         for name, root in roots.items():
             norm = paths.normalize(root)
-            if norm in self._root_of.values():
+            if norm in self._fileset_at:
                 raise FSError(f"duplicate file-set root {norm!r}")
             self._root_of[name] = norm
-        # Longest-prefix order for resolution.
-        self._ordered = sorted(
-            self._root_of.items(), key=lambda kv: -len(paths.components(kv[1]))
-        )
+            self._fileset_at[norm] = name
 
     @property
     def filesets(self) -> list[str]:
@@ -64,12 +63,20 @@ class FileSetRegistry:
             raise FSError(f"unknown file set {fileset!r}") from None
 
     def fileset_of(self, path: str) -> str:
-        """The file set owning ``path`` (deepest enclosing root)."""
+        """The file set owning ``path`` (deepest enclosing root).
+
+        Looks the path and then each ancestor up by root, deepest first,
+        so the cost is O(depth) however many file sets there are.
+        """
         norm = paths.normalize(path)
-        for name, root in self._ordered:
-            if paths.is_ancestor(root, norm):
+        fileset_at = self._fileset_at
+        while True:
+            name = fileset_at.get(norm)
+            if name is not None:
                 return name
-        raise FSError(f"{path!r} is outside every file set")
+            if norm == paths.ROOT:
+                raise FSError(f"{path!r} is outside every file set")
+            norm = norm[: norm.rindex("/")] or paths.ROOT
 
     def relative(self, fileset: str, path: str) -> str:
         """``path`` relative to the file set's root, as an absolute path
@@ -111,6 +118,10 @@ class MetadataCluster:
         #: The delegate round: tuner plus the previous interval's reports.
         self.rounds = DelegateRoundDriver(tuning)
         self.ledger = MovementLedger()
+        #: (file set, replication) -> owner set, valid for one placement
+        #: epoch; see :meth:`owner_set_of`.
+        self._owner_sets: dict[tuple[str, int], tuple[str, ...]] = {}
+        self._owner_sets_epoch = -1
         # Format every file set and hand it to its initial owner.
         for fileset in self.registry.filesets:
             self.disk.format_fileset(Namespace(fileset))
@@ -183,14 +194,28 @@ class MetadataCluster:
         :meth:`check_consistency` both hinge on the single authoritative
         ownership map); a replica merely *serves* the request off the
         shared-disk image, which is what the timed harness accounts.
+
+        Memoized per placement epoch.  The derivation is a pure function
+        of the owner, the live servers and the placement; the servers
+        change only together with a placement add or remove, which bumps
+        the epoch, and a hit must still start with the current owner.
         """
-        return derive_owner_set(
-            fileset,
-            self.owner_of(fileset),
-            sorted(self.services),
-            replication,
-            placement=self.placement,
-        )
+        owner = self.owner_of(fileset)
+        epoch = self.placement.epoch
+        if epoch != self._owner_sets_epoch:
+            self._owner_sets.clear()
+            self._owner_sets_epoch = epoch
+        key = (fileset, replication)
+        cached = self._owner_sets.get(key)
+        if cached is None or cached[0] != owner:
+            cached = self._owner_sets[key] = derive_owner_set(
+                fileset,
+                owner,
+                sorted(self.services),
+                replication,
+                placement=self.placement,
+            )
+        return cached
 
     # ------------------------------------------------------------------
     # Client entry point

@@ -6,9 +6,10 @@ Two patterns cover every harness in the repository:
   the calendar at a time; firing it schedules the next record before
   handing the current one to the harness.  This is how the queueing
   cluster replays traces (the calendar stays O(1) in trace length).
-- :func:`schedule_all` — *eager*: every timed item is placed on the
-  calendar up front.  The timed full-system run uses this for its
-  operation list (bounded, in-memory input).
+- :func:`schedule_all` — *reserved chaining* over a bounded, in-memory
+  item list: the items fire in exactly the order they would if all were
+  placed on the calendar up front, but only one of them is pending at a
+  time.  The timed full-system run uses this for its operation list.
 
 Both preserve the exact event ordering of the pre-runtime harnesses, so
 seeded replays are bit-identical.
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..sim.engine import Engine
+from ..sim.events import reserve_seqs
 
 T = TypeVar("T")
 
@@ -70,9 +72,30 @@ def schedule_all(
     on_arrival: Callable[[T], None],
     time_of: Callable[[T], float],
 ) -> int:
-    """Place every item on the calendar up front; returns the count."""
-    n = 0
-    for item in items:
-        engine.schedule_at(time_of(item), on_arrival, item)
-        n += 1
-    return n
+    """Deliver every item at its time; returns the count.
+
+    Equivalent to scheduling each item with :meth:`Engine.schedule_at`
+    now, in iteration order, but the calendar holds one pending item:
+    the block of sequence numbers that eager scheduling would have used
+    is reserved up front (item ``i`` gets ``base + i``), and firing an
+    item schedules the next one in ``(time, index)`` order before its
+    callback runs.  Every event keeps the ``(time, priority, seq)`` key
+    it would have had, and the calendar pops in that total order, so the
+    firing order is unchanged.
+    """
+    items = list(items)
+    times = [time_of(item) for item in items]
+    if not items:
+        return 0
+    order = iter(sorted(range(len(items)), key=times.__getitem__))
+    base = reserve_seqs(len(items))
+
+    def fire(item: T) -> None:
+        i = next(order, None)
+        if i is not None:
+            engine.schedule_reserved(times[i], base + i, fire, items[i])
+        on_arrival(item)
+
+    first = next(order)
+    engine.schedule_reserved(times[first], base + first, fire, items[first])
+    return len(items)

@@ -95,6 +95,26 @@ class Engine:
         heapq.heappush(self._calendar, event)
         return event
 
+    def schedule_reserved(
+        self, time: Seconds, seq: int, action: Callable[..., None], *args: Any
+    ) -> Event:
+        """:meth:`schedule_at` (normal priority) for an event that takes
+        the sequence number ``seq`` reserved earlier with
+        :func:`~repro.sim.events.reserve_seqs`, so it keeps the place in
+        every tie-break it would have had if scheduled at the reservation.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time!r} before now={self._now!r}"
+            )
+        event = Event(
+            time=time, priority=PRIORITY_NORMAL, action=action, args=args,
+            engine=self,
+        )
+        event.seq = seq
+        heapq.heappush(self._calendar, event)
+        return event
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ callback; the harnesses are callback-driven rather than coroutine-style.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -31,6 +32,21 @@ PRIORITY_LATE = 10
 
 
 _EVENT_COUNTER = itertools.count()
+
+
+def reserve_seqs(n: int) -> int:
+    """Reserve ``n`` consecutive sequence numbers; returns the first.
+
+    Events constructed afterwards number past the block.  An event given
+    a reserved number later (:meth:`repro.sim.engine.Engine.schedule_reserved`)
+    orders exactly as if it had been constructed at the reservation.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one sequence number, got {n!r}")
+    base = next(_EVENT_COUNTER)
+    # Consume the rest of the block (C-speed; the counter cannot skip).
+    deque(itertools.islice(_EVENT_COUNTER, n - 1), maxlen=0)
+    return base
 
 
 @dataclass(order=True, slots=True)

@@ -25,13 +25,15 @@ import numpy as np
 import pytest
 
 from repro.core import ANUPlacement, MappedInterval, PairwiseTuner, ServerReport
+from repro.fs import FileSetRegistry, MetadataCluster
 from repro.metrics.latency import LatencyCollector
 from repro.placement import TwoChoicePolicy
 from repro.placement.consistent_hash import ConsistentHashRing
 from repro.placement.prescient import lpt_assign
-from repro.runtime import JsonlSink
+from repro.runtime import JsonlSink, schedule_all
 from repro.runtime.routing import JSQRouter, WeightedPowerOfDRouter
 from repro.runtime.telemetry import DigestSink, RequestCompleted, first_divergence
+from repro.sim.engine import Engine
 
 
 def count_calls(fn: Callable[[], object]) -> Counter[str]:
@@ -154,6 +156,59 @@ def test_locate_owner_set_does_not_grow_with_servers():
         return count_calls(lambda: [placement.locate_owner_set(x, 3) for x in names])
 
     assert_grows_at_most(owner_sets(5), owner_sets(80), 1.2)
+
+
+def test_fileset_of_does_not_grow_with_file_sets():
+    """§5: resolving a path walks its ancestors, not every file-set root.
+
+    The 1,000 paths spread over all roots, so a scan of the roots would
+    grow with their number.
+    """
+
+    def resolve_1000(n_roots):
+        registry = FileSetRegistry({f"fs{i}": f"/vol/p{i:05d}" for i in range(n_roots)})
+        probes = [f"/vol/p{k * n_roots // 1000:05d}/d{k % 7}/f{k}" for k in range(1000)]
+        return count_calls(lambda: [registry.fileset_of(p) for p in probes])
+
+    assert_grows_at_most(resolve_1000(21), resolve_1000(2_100), 1.2)
+
+
+def test_owner_sets_hash_once_per_file_set_between_mutations():
+    """Repeated owner-set lookups reuse the derivation until the
+    placement changes.  Every ``hash_to_unit`` probe takes one BLAKE2b
+    digest, so a digest count of zero means no probe was re-hashed.
+    """
+    cluster = MetadataCluster(servers(5), {f"fs{i}": f"/p{i}" for i in range(50)})
+    names = cluster.registry.filesets
+
+    def lookups():
+        for name in names:
+            cluster.owner_set_of(name, 3)
+
+    for _mutation in range(2):
+        assert count_calls(lookups)["blake2b.digest"] >= len(names)
+        assert count_calls(lambda: [lookups() for _ in range(3)])["blake2b.digest"] == 0
+        cluster.placement.set_shares({s: 1.0 + i for i, s in enumerate(servers(5))})
+
+
+def test_schedule_all_keeps_one_arrival_pending_whatever_the_count():
+    """The calendar holds one pending arrival, and the last 100 arrivals
+    fire with the same work after 9,900 others as on their own."""
+
+    def deliver(n):
+        engine = Engine()
+        schedule = count_calls(
+            lambda: schedule_all(engine, [float(i) for i in range(n)], abs, float)
+        )
+        pending = engine.pending
+        engine.run(until=n - 100.5)
+        return schedule, pending, count_calls(engine.run)
+
+    schedule_small, pending_small, last_small = deliver(100)
+    schedule_large, pending_large, last_large = deliver(10_000)
+    assert pending_small == pending_large == 1
+    assert_same_work(last_small, last_large)
+    assert_grows_at_most(schedule_small, schedule_large, 100)
 
 
 def test_set_shares_grows_linearly_with_servers():

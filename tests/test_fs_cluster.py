@@ -43,6 +43,8 @@ def test_registry_validation():
         FileSetRegistry({})
     with pytest.raises(FSError):
         FileSetRegistry({"a": "/r", "b": "/r"})
+    with pytest.raises(FSError, match="duplicate"):
+        FileSetRegistry({"a": "/a/b", "b": "//a/b/"})
 
 
 # ----------------------------------------------------------------------

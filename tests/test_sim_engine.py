@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Engine, SimulationError
-from repro.sim.events import PRIORITY_EARLY, PRIORITY_LATE
+from repro.sim.events import PRIORITY_EARLY, PRIORITY_LATE, reserve_seqs
 
 
 def test_schedule_and_run_fires_in_time_order():
@@ -210,6 +210,21 @@ def test_zero_delay_event_fires_at_current_time():
     engine.schedule(1.0, lambda: engine.schedule(0.0, lambda: times.append(engine.now)))
     engine.run()
     assert times == [1.0]
+
+
+def test_reserved_seq_keeps_its_place_in_the_tie_break():
+    engine = Engine()
+    fired = []
+    base = reserve_seqs(2)
+    engine.schedule(1.0, fired.append, "ordinary")
+    engine.schedule_reserved(1.0, base + 1, fired.append, "reserved-1")
+    engine.schedule_reserved(1.0, base, fired.append, "reserved-0")
+    engine.run()
+    assert fired == ["reserved-0", "reserved-1", "ordinary"]
+    with pytest.raises(SimulationError):
+        engine.schedule_reserved(0.5, base, fired.append, "past")
+    with pytest.raises(ValueError):
+        reserve_seqs(0)
 
 
 def test_engine_not_reentrant():
