@@ -23,9 +23,6 @@ Usage::
         def mutate(self) -> None: ...
         def check_invariants(self) -> None: ...   # raises on breach
 
-    @checks_invariants
-    def grow(...): ...
-
     def compute(...):
         require(x >= 0, "negative input {}", x)
         ...
@@ -35,18 +32,52 @@ A breached contract raises :class:`ContractViolation` (a subclass of
 ``AssertionError``) chaining the underlying validator error, so test
 failures show both the operation that broke the invariant and the exact
 breach.
+
+Contract bypass
+---------------
+Re-validating after each mutator proves nothing about a write that never
+goes through one: ``cluster._ownership[x] = y`` from another object, or
+an undecorated method rebinding ``servers``.  So every contract-decorated
+call also checks that the object's *protected state* — each instance
+attribute its validator reads (:func:`validator_reads`) — is as the last
+such call left it:
+
+- when the outermost ``@checks_invariants``/``@preserves``/``@invariant``
+  call on an object exits, returning or raising, it records a
+  fingerprint of that state;
+- the next outermost call on the object recomputes the fingerprint on
+  entry and raises :class:`ContractViolation` naming the class and the
+  attribute that changed in between.
+
+The fingerprint holds the identity of each attribute's bound object
+and, for a dict, list or set, of its entries (keys and values), not
+nested objects' fields: a rebind, a subscript store, a ``del`` or a mutating
+call such as ``.pop()`` shows; ``state.owner = x`` on an entry does not.
+A write is sanctioned by *dynamic extent*: anything that runs inside a
+contract-decorated call on the object — a private helper, a callback,
+another object — may write its state, and nested decorated calls on one
+object check and record only at the outermost level.  The fingerprint
+lives in a side table keyed by the object's identity, never on the
+object, so it is not part of its pickle, ``repr`` or ``==``.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
+import inspect
 import os
+import textwrap
+import weakref
 from typing import Any, Callable, TypeVar
 
 _F = TypeVar("_F", bound=Callable[..., Any])
 
 #: Environment variable controlling the contract layer.
 ENV_VAR = "REPRO_CONTRACTS"
+
+#: Class validators, in the order the decorators probe them.
+VALIDATORS = ("check_invariants", "check_consistency")
 
 
 class ContractViolation(AssertionError):
@@ -77,13 +108,16 @@ def set_contracts(enabled: bool) -> bool:
     Has no effect when contracts were compiled out at import time
     (``REPRO_CONTRACTS=off``): the wrappers no longer exist, so there is
     nothing to re-enable.  Tests use this to exercise both sides of the
-    toggle without re-importing the package.
+    toggle without re-importing the package.  Either way the recorded
+    fingerprints are dropped: state changed while checking was off is
+    not a bypass.
     """
     # The toggle *is* process-global by design: it models the environment
     # switch, and COMPILED_OUT keeps the zero-overhead path honest.
     global _enabled  # repro-lint: disable=RPL009
     previous = _enabled
     _enabled = bool(enabled)
+    _extents.clear()
     return previous
 
 
@@ -99,6 +133,144 @@ def ensure(condition: bool, message: str, *args: Any) -> None:
         raise ContractViolation("postcondition failed: " + message.format(*args))
 
 
+# ----------------------------------------------------------------------
+# Protected state and the bypass check
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def validator_reads(cls: type) -> frozenset[str]:
+    """Every ``self.<attr>`` the class validator reads, following the
+    ``self.<helper>()`` methods it calls; properties count as reads.
+
+    Empty for a class with no validator.
+    """
+    start = next((name for name in VALIDATORS if hasattr(cls, name)), None)
+    reads: set[str] = set()
+    todo, seen = [start] if start else [], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        fn = inspect.unwrap(getattr(cls, name))
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                if inspect.isfunction(inspect.getattr_static(cls, node.attr, None)):
+                    todo.append(node.attr)
+                else:
+                    reads.add(node.attr)
+    return frozenset(reads)
+
+
+@functools.lru_cache(maxsize=None)
+def _protected(cls: type) -> tuple[str, ...]:
+    """The instance attributes the bypass check fingerprints."""
+    return tuple(sorted(
+        attr for attr in validator_reads(cls)
+        if not isinstance(inspect.getattr_static(cls, attr, None), property)
+    ))
+
+
+def _entries(value: Any) -> tuple[int, ...]:
+    """Identities of ``value`` and, for a dict, list or set, its entries.
+
+    Identities, not references: a fingerprint that held the entries
+    could reach back to its own object (a server's engine holds the
+    simulation's callbacks) and keep it alive from the side table.
+    """
+    if isinstance(value, dict):
+        return (id(value), *map(id, value), *map(id, value.values()))
+    if isinstance(value, (list, set)):
+        return (id(value), *map(id, value))
+    return (id(value),)
+
+
+def _fingerprint(obj: Any, attrs: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    state = vars(obj)
+    return tuple(_entries(state.get(attr)) for attr in attrs)
+
+
+class _Extent:
+    """One tracked object: nesting depth of contract calls on it, and
+    the fingerprint its last outermost call left (None before one)."""
+
+    __slots__ = ("ref", "depth", "fingerprint")
+
+    def __init__(self, obj: Any) -> None:
+        self.ref = weakref.ref(obj, functools.partial(_forget, id(obj)))
+        self.depth = 0
+        self.fingerprint: tuple | None = None
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    """Weakref callback: drop a dead object's extent (and only its own:
+    the id may already name a newer object)."""
+    extent = _extents.get(key)
+    if extent is not None and extent.ref is ref:
+        del _extents[key]
+
+
+#: id(obj) -> its extent; an entry leaves with its object.
+_extents: dict[int, _Extent] = {}
+
+
+def _enter(obj: Any, method: Callable) -> _Extent | None:
+    """Start a contract call on ``obj``; check for a bypass if outermost."""
+    attrs = _protected(type(obj))
+    if not attrs:
+        return None
+    extent = _extents.get(id(obj))
+    if extent is None:
+        extent = _extents[id(obj)] = _Extent(obj)
+    elif extent.depth == 0 and extent.fingerprint is not None:
+        current = _fingerprint(obj, attrs)
+        for attr, before, after in zip(attrs, extent.fingerprint, current):
+            if before != after:
+                extent.fingerprint = None  # report a bypass once
+                raise ContractViolation(
+                    f"{type(obj).__name__}.{attr} changed outside its "
+                    f"contract-wrapped mutators (found on entering "
+                    f"{method.__name__})"
+                )
+    extent.depth += 1
+    return extent
+
+
+def _leave(obj: Any, extent: _Extent | None) -> None:
+    """End a contract call; the outermost one records the fingerprint."""
+    if extent is None:
+        return
+    extent.depth -= 1
+    if extent.depth == 0:
+        extent.fingerprint = _fingerprint(obj, _protected(type(obj)))
+
+
+def _contract(method: _F, run: Callable[[Any, Callable[[], Any]], Any]) -> _F:
+    """Wrap ``method`` in the bypass check around ``run(self, call)``,
+    where ``call()`` invokes the method and ``run`` adds the contract."""
+    if COMPILED_OUT:
+        return method
+
+    @functools.wraps(method)
+    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+        if not _enabled:
+            return method(self, *args, **kwargs)
+        extent = _enter(self, method)
+        try:
+            return run(self, lambda: method(self, *args, **kwargs))
+        finally:
+            _leave(self, extent)
+
+    return wrapper  # type: ignore[return-value]
+
+
+# ----------------------------------------------------------------------
+# Decorators
+# ----------------------------------------------------------------------
 def checks_invariants(method: _F) -> _F:
     """After ``method`` returns, call ``self.check_invariants()``.
 
@@ -107,29 +279,25 @@ def checks_invariants(method: _F) -> _F:
     from the validator are re-raised as :class:`ContractViolation` naming
     the mutating operation, with the original error chained.
     """
-    if COMPILED_OUT:
-        return method
 
-    @functools.wraps(method)
-    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-        result = method(self, *args, **kwargs)
-        if _enabled:
-            # Single attribute probe on the hot path; validators may lean
-            # on generation-counter caches of derived state (e.g. the
-            # interval's segments cache) to keep re-validation cheap.
-            validate = getattr(self, "check_invariants", None) or self.check_consistency
-            try:
-                validate()
-            except ContractViolation:
-                raise
-            except Exception as exc:
-                raise ContractViolation(
-                    f"{type(self).__name__}.{method.__name__} broke an "
-                    f"invariant: {exc}"
-                ) from exc
+    def run(self: Any, call: Callable[[], Any]) -> Any:
+        result = call()
+        # Single attribute probe on the hot path; validators may lean
+        # on generation-counter caches of derived state (e.g. the
+        # interval's segments cache) to keep re-validation cheap.
+        validate = getattr(self, "check_invariants", None) or self.check_consistency
+        try:
+            validate()
+        except ContractViolation:
+            raise
+        except Exception as exc:
+            raise ContractViolation(
+                f"{type(self).__name__}.{method.__name__} broke an "
+                f"invariant: {exc}"
+            ) from exc
         return result
 
-    return wrapper  # type: ignore[return-value]
+    return _contract(method, run)
 
 
 def preserves(
@@ -144,15 +312,9 @@ def preserves(
     not move any existing load").  The snapshots are compared with ``==``.
     """
     def decorate(method: _F) -> _F:
-        if COMPILED_OUT:
-            return method
-
-        @functools.wraps(method)
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return method(self, *args, **kwargs)
+        def run(self: Any, call: Callable[[], Any]) -> Any:
             before = capture(self)
-            result = method(self, *args, **kwargs)
+            result = call()
             after = capture(self)
             if before != after:
                 raise ContractViolation(
@@ -161,7 +323,7 @@ def preserves(
                 )
             return result
 
-        return wrapper  # type: ignore[return-value]
+        return _contract(method, run)
 
     return decorate
 
@@ -177,18 +339,14 @@ def invariant(
     is owned by exactly one registered server".
     """
     def decorate(method: _F) -> _F:
-        if COMPILED_OUT:
-            return method
-
-        @functools.wraps(method)
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            result = method(self, *args, **kwargs)
-            if _enabled and not predicate(self):
+        def run(self: Any, call: Callable[[], Any]) -> Any:
+            result = call()
+            if not predicate(self):
                 raise ContractViolation(
                     f"{type(self).__name__}.{method.__name__}: {message}"
                 )
             return result
 
-        return wrapper  # type: ignore[return-value]
+        return _contract(method, run)
 
     return decorate

@@ -20,7 +20,12 @@ from ..contracts import checks_invariants, invariant
 from ..core.anu import ANUPlacement
 from ..core.hashing import HashFamily
 from ..core.movement import MovementLedger, diff_assignment
-from ..core.tuning import DelegateRoundDriver, ServerReport, TuningConfig
+from ..core.tuning import (
+    DelegateRoundDriver,
+    ServerReport,
+    TuningConfig,
+    TuningDecision,
+)
 from ..membership.director import MembershipDirector
 from ..membership.faults import FaultEvent, FaultKind
 from ..membership.lifecycle import MembershipRoster
@@ -90,6 +95,14 @@ class FileSetRegistry:
         return paths.ROOT + "/".join(rest) if rest else paths.ROOT
 
 
+def _services_hold_ownership(cluster: MetadataCluster) -> bool:
+    """Every owned file set's owner is a service holding its image."""
+    return all(
+        owner in cluster.services and cluster.services[owner].owns(fileset)
+        for fileset, owner in cluster._ownership.items()
+    )
+
+
 class MetadataCluster:
     """Servers + shared disk + ANU routing for real metadata operations."""
 
@@ -147,10 +160,7 @@ class MetadataCluster:
         return diff.moved
 
     @invariant(
-        lambda self: all(
-            owner in self.services and self.services[owner].owns(fileset)
-            for fileset, owner in self._ownership.items()
-        ),
+        _services_hold_ownership,
         "ownership transfer broke service referential integrity",
     )
     def transfer_ownership(
@@ -253,14 +263,32 @@ class MetadataCluster:
     def retune(self, reports: Sequence[ServerReport], now: float = 0.0) -> int:
         """One delegate round: rescale regions, move images; returns the
         number of file sets moved."""
+        new, _decision = self.rescale(reports)
+        if new is None:
+            return 0
+        return self._apply_assignment(new, now=now)
+
+    @invariant(
+        _services_hold_ownership,
+        "rescale broke service referential integrity",
+    )
+    def rescale(
+        self, reports: Sequence[ServerReport]
+    ) -> tuple[dict[str, str] | None, TuningDecision]:
+        """One delegate round without moving images: rescale the regions
+        and return the assignment they now name (None when the round does
+        not tune) with the round's decision.
+
+        Asynchronous drivers move each image later through
+        :meth:`transfer_ownership`, so, as there, only service
+        referential integrity is asserted.
+        """
         decision = self.rounds.compute(self.placement.shares(), reports)
         if not decision.tuned:
-            return 0
+            return None, decision
         self.placement.set_shares(decision.new_shares)
         self.placement.check_invariants()
-        return self._apply_assignment(
-            self.placement.assignment(self.registry.filesets), now=now
-        )
+        return self.placement.assignment(self.registry.filesets), decision
 
     @checks_invariants
     def fail_server(self, name: str, now: float = 0.0) -> int:
@@ -312,10 +340,7 @@ class MetadataCluster:
     # they guarantee the weaker service/ownership referential integrity.
     # ------------------------------------------------------------------
     @invariant(
-        lambda self: all(
-            owner in self.services and self.services[owner].owns(fileset)
-            for fileset, owner in self._ownership.items()
-        ),
+        _services_hold_ownership,
         "membership primitive broke service referential integrity",
     )
     def crash_server(self, server: str, now: Seconds) -> None:
@@ -334,10 +359,7 @@ class MetadataCluster:
         return None
 
     @invariant(
-        lambda self: all(
-            owner in self.services and self.services[owner].owns(fileset)
-            for fileset, owner in self._ownership.items()
-        ),
+        _services_hold_ownership,
         "membership primitive broke service referential integrity",
     )
     def drain_server(self, server: str, now: Seconds) -> None:
@@ -353,10 +375,7 @@ class MetadataCluster:
         }
 
     @invariant(
-        lambda self: all(
-            owner in self.services and self.services[owner].owns(fileset)
-            for fileset, owner in self._ownership.items()
-        ),
+        _services_hold_ownership,
         "membership primitive broke service referential integrity",
     )
     def restart_server(self, server: str, now: Seconds) -> None:
@@ -365,10 +384,7 @@ class MetadataCluster:
         self.placement.add_server(server)
 
     @invariant(
-        lambda self: all(
-            owner in self.services and self.services[owner].owns(fileset)
-            for fileset, owner in self._ownership.items()
-        ),
+        _services_hold_ownership,
         "membership primitive broke service referential integrity",
     )
     def install_server(self, server: str, speed: float, now: Seconds) -> None:
@@ -403,6 +419,10 @@ class MetadataCluster:
             self.placement.assignment(self.registry.filesets),
         )
 
+    @invariant(
+        _services_hold_ownership,
+        "membership primitive broke service referential integrity",
+    )
     def realize_membership(
         self, old: dict[str, str], new: dict[str, str], now: Seconds
     ) -> None:

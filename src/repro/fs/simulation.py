@@ -297,13 +297,7 @@ class FullSystemSimulation:
     ) -> tuple[dict[str, str] | None, TuningDecision | None]:
         """One round of the cluster's delegate; rescales shares when it
         tunes (ownership moves later, through :meth:`realize`)."""
-        placement = self.cluster.placement
-        decision = self.cluster.rounds.compute(placement.shares(), context.reports)
-        if not decision.tuned:
-            return None, decision
-        placement.set_shares(decision.new_shares)
-        placement.check_invariants()
-        return placement.assignment(self.cluster.registry.filesets), decision
+        return self.cluster.rescale(context.reports)
 
     def realize(self, old: dict[str, str], new: dict[str, str]) -> None:
         """Schedule delayed shared-disk transfers for the assignment diff."""

@@ -14,19 +14,16 @@ See :mod:`repro.lint.rules` for the catalogue and
 """
 
 from .diagnostics import Diagnostic, SuppressionIndex
-from .engine import lint_file, lint_paths, lint_project, lint_source
-from .rules import REGISTRY, FlowRule, Rule, all_flow_rules, all_rules
+from .engine import lint_file, lint_paths, lint_source
+from .rules import REGISTRY, Rule, all_rules
 
 __all__ = [
     "Diagnostic",
     "SuppressionIndex",
     "Rule",
-    "FlowRule",
     "REGISTRY",
     "all_rules",
-    "all_flow_rules",
     "lint_file",
     "lint_paths",
-    "lint_project",
     "lint_source",
 ]

@@ -1,12 +1,10 @@
 """Console entry point: ``repro-lint [paths...]``.
 
 Exit codes: 0 clean, 1 findings, 2 usage/parse error — so CI can gate on
-it directly.  ``--list-rules`` prints the rule catalogue (per-file and
-whole-program), ``--select`` restricts the run to specific IDs,
-``--explain RPLxxx`` prints a rule's full docstring, and ``--format``
-switches between human ``text``, machine ``json``, and CI ``sarif``
-output.  Results are cached by content hash in ``.repro-lint-cache/``
-(``--no-cache`` / ``--cache-dir`` to control).
+it directly.  ``--list-rules`` prints the rule catalogue, ``--select``
+restricts the run to specific IDs, ``--explain RPLxxx`` prints a rule's
+full docstring, and ``--format`` switches between human ``text``,
+machine ``json``, and CI ``sarif`` output.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Sequence
 
 from .engine import lint_paths
 from .output import render
-from .rules import REGISTRY, all_flow_rules, all_rules
+from .rules import REGISTRY, all_rules
 
 #: Directories linted when no paths are given (repo-root invocation).
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
@@ -48,19 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "sarif"), default="text",
         help="output format (default: %(default)s)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache directory (default: .repro-lint-cache)",
-    )
     return parser
 
 
 def _list_rules() -> int:
-    for rule in [*all_rules(), *all_flow_rules()]:
+    for rule in all_rules():
         print(f"{rule.id}  {rule.title}")
     return 0
 
@@ -92,13 +82,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"unknown rule ids: {sorted(unknown)}", file=sys.stderr)
             return 2
         rules = [REGISTRY[rule_id] for rule_id in sorted(wanted)]
-    cache = None
-    if not args.no_cache:
-        from .flow.cache import DEFAULT_CACHE_DIR, LintCache
-
-        cache = LintCache(args.cache_dir or DEFAULT_CACHE_DIR)
     try:
-        findings = lint_paths(args.paths, rules=rules, cache=cache)
+        findings = lint_paths(args.paths, rules=rules)
     except SyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

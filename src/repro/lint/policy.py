@@ -21,9 +21,6 @@ Exclusion rationale
 ``other``
     Anything outside the known trees (scratch files, tooling) is held to
     the same relaxed bar as tests.
-
-Flow rules (RPL1xx) are unaffected: they analyze only files that map
-into the ``repro`` package, which are all in ``src``.
 """
 
 from __future__ import annotations

@@ -15,10 +15,6 @@ Rule catalogue
 - ``RPL008`` — bare ``except:``
 - ``RPL009`` — ``global`` statement in production code
 
-Interprocedural (flow) rule — see :mod:`repro.lint.flow`:
-
-- ``RPL103`` — mutation of contract-protected state outside mutators
-
 Determinism itself is guarded at runtime, not here: the golden replays,
 ``repro-dsan`` (hash-seed and GC perturbation), and the serial-vs-process
 comparison of sweep merges catch wall-clock reads, unordered iteration,
@@ -29,7 +25,10 @@ mutator with outside-caller arguments and asserts a rejected call leaves
 the validated state untouched, and the chaos soak's pairing law
 (:class:`repro.membership.soak.PairingLaw`) checks that every
 ``FaultInjected`` record is completed and every move start finishes.
-The rules above cover what no runtime check backs up.
+Contract bypass is runtime-checked as well: every contract-decorated
+call verifies that the object's validated state is as the previous such
+call left it (see :mod:`repro.contracts`).  The rules above cover what
+no runtime check backs up.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ import ast
 
 from ..diagnostics import Diagnostic
 
-#: ID -> rule class (per-file ``Rule`` and whole-program ``FlowRule``),
-#: populated by :func:`register`.
+#: ID -> rule class, populated by :func:`register`.
 REGISTRY: dict[str, type] = {}
 
 
@@ -54,21 +52,8 @@ def register(rule_cls):
 
 
 def all_rules() -> list[type["Rule"]]:
-    """Every registered per-file rule class, sorted by ID."""
-    return [
-        REGISTRY[rule_id]
-        for rule_id in sorted(REGISTRY)
-        if issubclass(REGISTRY[rule_id], Rule)
-    ]
-
-
-def all_flow_rules() -> list[type["FlowRule"]]:
-    """Every registered whole-program rule class, sorted by ID."""
-    return [
-        REGISTRY[rule_id]
-        for rule_id in sorted(REGISTRY)
-        if issubclass(REGISTRY[rule_id], FlowRule)
-    ]
+    """Every registered rule class, sorted by ID."""
+    return [REGISTRY[rule_id] for rule_id in sorted(REGISTRY)]
 
 
 class Rule(ast.NodeVisitor):
@@ -105,46 +90,6 @@ class Rule(ast.NodeVisitor):
         )
 
 
-class FlowRule:
-    """Base class for whole-program (interprocedural) lint rules.
-
-    A flow rule receives a :class:`~repro.lint.flow.symbols.Project`
-    (every package file of the run, with symbol tables) and returns its
-    findings from :meth:`run`.  Unlike per-file rules there is no
-    visitor protocol: each analysis drives the shared data-flow engine
-    in :mod:`repro.lint.flow.dataflow` however it needs to.
-    """
-
-    #: Stable rule identifier, e.g. ``"RPL103"``.
-    id: str = ""
-    #: One-line summary shown by ``repro-lint --list-rules``.
-    title: str = ""
-    #: Autofix hint appended to every diagnostic.
-    hint: str = ""
-
-    def __init__(self, project) -> None:
-        """``project`` is a :class:`~repro.lint.flow.symbols.Project`."""
-        self.project = project
-        self.diagnostics: list[Diagnostic] = []
-
-    def run(self) -> list[Diagnostic]:
-        """Analyze the project; returns (and stores) the findings."""
-        raise NotImplementedError
-
-    def report(self, path: str, line: int, col: int, message: str) -> None:
-        """Record a finding at an explicit location."""
-        self.diagnostics.append(
-            Diagnostic(
-                path=path,
-                line=line,
-                col=col,
-                rule_id=self.id,
-                message=message,
-                hint=self.hint,
-            )
-        )
-
-
 def dotted_name(node: ast.AST) -> tuple[str, ...]:
     """The dotted chain of an attribute/name expression, outermost first.
 
@@ -161,8 +106,5 @@ def dotted_name(node: ast.AST) -> tuple[str, ...]:
     return ()
 
 
-# Import rule modules for their registration side effects.  The flow
-# module imports back into this package (FlowRule), which is safe
-# because everything it needs is defined above this line.
+# Import rule modules for their registration side effects.
 from . import arithmetic, determinism, hygiene  # noqa: E402,F401
-from ..flow import mutation  # noqa: E402,F401

@@ -238,9 +238,10 @@ class FaultInjector:
         limp_gen: dict[str, int] = {}
         #: Remaining worsening steps of an active slow-then-dead ramp.
         ramp_left: dict[str, int] = {}
-        #: primary -> sharers currently degraded by I/O-contention
-        #: coupling; released when the primary restores or dies.
-        coupled_to: dict[str, list[str]] = {}
+        #: sharer -> the primary whose I/O contention degraded it; the
+        #: record goes when the sharer fails, leaves or is restored, so a
+        #: primary releases only sharers its own limp still holds.
+        coupled_to: dict[str, str] = {}
 
         def draw(rng, mean: Seconds) -> Seconds:
             return Seconds(float(rng.exponential(mean)))
@@ -271,17 +272,18 @@ class FaultInjector:
 
         def release_coupled(primary: str, now: Seconds) -> list[FaultEvent]:
             """The contention source is gone; its sharers' limps lift."""
-            out = []
-            for other in coupled_to.pop(primary, []):
-                if roster.is_live(other) and roster.is_degraded(other):
-                    out.append(FaultEvent(now, FaultKind.RESTORE, other))
-            return out
+            sharers = [s for s, p in coupled_to.items() if p == primary]
+            for other in sharers:
+                del coupled_to[other]
+            return [FaultEvent(now, FaultKind.RESTORE, s) for s in sharers]
 
         def end_limp(name: str, now: Seconds) -> list[FaultEvent]:
             """A crash/decommission cut ``name``'s limp short: invalidate
-            its pending ramp/restore entries and free its sharers."""
+            its pending ramp/restore entries, free its sharers, and drop
+            its own record if it was a sharer."""
             limp_gen[name] = limp_gen.get(name, 0) + 1
             ramp_left.pop(name, None)
+            coupled_to.pop(name, None)
             return release_coupled(name, now)
 
         for name in sorted(self.servers):
@@ -407,7 +409,7 @@ class FaultInjector:
         now: Seconds,
         limp_gen: dict[str, int],
         ramp_left: dict[str, int],
-        coupled_to: dict[str, list[str]],
+        coupled_to: dict[str, str],
         heap: list,
         push_degrade: Callable[[str, Seconds], None],
     ) -> list[FaultEvent]:
@@ -459,5 +461,5 @@ class FaultInjector:
                         FaultEvent(now, FaultKind.DEGRADE, other,
                                    factor=coupled_factor)
                     )
-                    coupled_to.setdefault(name, []).append(other)
+                    coupled_to[other] = name
         return out

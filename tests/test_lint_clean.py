@@ -17,14 +17,13 @@ tests      RPL002 (tests seed ad-hoc generators on purpose),
 benchmarks same as tests — harness code, not simulation code
 ========== =========================================================
 
-The whole-program rule (RPL103) runs wherever package files are in the
-lint set and is never excluded by tree: it analyzes ``src/repro`` itself,
-so the tree containing the *entry path* is irrelevant.
-
-Failure-path atomicity is not linted: ``tests/test_contract_atomicity.py``
-checks at runtime that a rejected contract-decorated mutator leaves its
-validated state untouched, and the pairing law in
-``repro.membership.soak`` checks that no telemetry pair is left split.
+Contract bypass and failure-path atomicity are not linted:
+:mod:`repro.contracts` checks on every contract-decorated call that the
+object's validated state is as the previous such call left it;
+``tests/test_contract_atomicity.py`` checks that a rejected
+contract-decorated mutator leaves its validated state untouched; and the
+pairing law in ``repro.membership.soak`` checks that no telemetry pair
+is left split.
 """
 
 import pathlib
@@ -51,12 +50,6 @@ def test_every_tree_has_an_exclusion_policy():
 def test_production_trees_get_the_full_catalogue():
     assert EXCLUSIONS["src"] == frozenset()
     assert EXCLUSIONS["examples"] == frozenset()
-
-
-def test_flow_rules_are_never_excluded():
-    for tree, excluded in EXCLUSIONS.items():
-        flow = {r for r in excluded if r.startswith("RPL1")}
-        assert not flow, f"{tree}: whole-program rules cannot be tree-excluded"
 
 
 def test_path_to_tree_resolution():

@@ -89,7 +89,7 @@ def test_cli_format_sarif(tmp_path, capsys):
     bad = tmp_path / "src" / "repro" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text(DIRTY, encoding="utf-8")
-    code = main(["--format", "sarif", "--no-cache", str(tmp_path)])
+    code = main(["--format", "sarif", str(tmp_path)])
     assert code == 1
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
@@ -99,6 +99,6 @@ def test_cli_format_sarif(tmp_path, capsys):
 def test_cli_format_json_clean_exit_zero(tmp_path, capsys):
     clean = tmp_path / "ok.py"
     clean.write_text("x = 1\n", encoding="utf-8")
-    code = main(["--format", "json", "--no-cache", str(clean)])
+    code = main(["--format", "json", str(clean)])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == []

@@ -16,6 +16,7 @@ invariants after *every* event, not just at the end:
   every run, so any chaos failure is replayable.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +155,30 @@ def test_limp_injector_is_deterministic_and_valid(seed):
             seen_degraded.add(event.server)
         elif event.kind is FaultKind.RESTORE:
             assert event.server in seen_degraded
+
+
+@pytest.mark.parametrize("seed", [758, 1740, 2816, 3364, 3595])
+def test_limp_injector_restores_each_coupled_sharer_once(seed):
+    """Seeds whose schedules once restored a server twice.
+
+    A sharer could fail, recover and start a limp of its own while its
+    old primary still listed it; that primary's restore then ended the
+    sharer's own limp, which left the sharer's own sharers listed, and a
+    later onset could list one of them twice.  Each sharer now holds one
+    record, dropped on its fail, decommission or restore, so a primary
+    releases only the sharers its limp still holds.
+    """
+    schedule = FaultInjector(SPEEDS, LIMP_CHURN, seed=seed).generate(
+        Seconds(2400.0)
+    )
+    schedule.validate(set(SPEEDS))
+
+
+def test_limp_injector_validates_over_a_seed_range():
+    for seed in range(200):
+        FaultInjector(SPEEDS, LIMP_CHURN, seed=seed).generate(
+            Seconds(2400.0)
+        ).validate(set(SPEEDS))
 
 
 def test_limp_profile_produces_gray_failures():
