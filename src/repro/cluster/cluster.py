@@ -24,9 +24,11 @@ scheduling, tuning cadence, and membership handling come from
 :class:`repro.runtime.loop.TuningLoop` /
 :class:`repro.runtime.arrivals.ArrivalPump` /
 :class:`repro.membership.director.MembershipDirector` (the policy owns
-its delegate's report history); this module contributes only
-what is specific to the queueing model (server facilities, the file-set
-mover, fault realization).  A structured telemetry stream
+its delegate's report history), and each request's dispatch and
+completion from :func:`repro.runtime.routing.dispatch`, which the fs stack
+shares; this module contributes only what is specific to the queueing
+model (move buffering, the file-set mover, fault realization).  A
+structured telemetry stream
 (:mod:`repro.runtime.telemetry`) reports arrivals, dispatches,
 completions, tuning decisions, moves, and faults to any sink passed in.
 
@@ -51,15 +53,13 @@ from ..placement.base import PlacementPolicy, TuningContext, validate_assignment
 from ..placement.replicated import derive_owner_sets
 from ..runtime.arrivals import ArrivalPump
 from ..runtime.loop import TuningLoop
-from ..runtime.routing import RequestRouter, SingleOwnerRouter, pick_owner
+from ..runtime.routing import RequestRouter, SingleOwnerRouter, dispatch, pick_owner
 from ..runtime.result import SimResult, summarize_collector
 from ..runtime.telemetry import (
     NULL_SINK,
     MoveFinished,
     MoveStarted,
     RequestArrived,
-    RequestCompleted,
-    RequestDispatched,
     TelemetrySink,
 )
 from ..sim.engine import Engine
@@ -89,14 +89,6 @@ class ClusterConfig:
     #: of per-window Poisson noise, and the prescient policy "retains the
     #: same configuration for the duration of the experiment" (§7).
     oracle_horizon: float | None = None
-    #: Which latency the figures and delegate reports use.  ``"wait"`` is
-    #: time from arrival to start of service (queueing + move buffering);
-    #: ``"response"`` additionally includes service time.  The paper's
-    #: figures are consistent only with a queueing-dominated metric — an
-    #: idle server shows *zero* latency and balanced runs sit far below the
-    #: slow server's raw service time — so ``"wait"`` is the default (see
-    #: EXPERIMENTS.md).
-    latency_metric: str = "wait"
 
     def __post_init__(self) -> None:
         if not self.servers:
@@ -106,8 +98,6 @@ class ClusterConfig:
             raise ValueError(f"duplicate server names in {names!r}")
         if self.tuning_interval <= 0 or self.sample_window <= 0:
             raise ValueError("tuning_interval and sample_window must be positive")
-        if self.latency_metric not in ("wait", "response"):
-            raise ValueError(f"unknown latency_metric {self.latency_metric!r}")
 
     @property
     def speeds(self) -> dict[str, float]:
@@ -338,75 +328,20 @@ class ClusterSimulation:
         self._route(request)
 
     def _route(self, request: MetadataRequest) -> None:
-        state = self.filesets[request.fileset]
+        fileset = request.fileset
+        state = self.filesets[fileset]
         # During a planned move the source keeps serving (ownership hands
         # over at flush completion); a request buffers only when *every*
         # owner of its file set is down.
-        slot, server = self._pick_owner(request.fileset, state)
+        slot, server = pick_owner(
+            self.router, fileset, state.owner,
+            self._replica_owners.get(fileset, ()), self.servers,
+        )
         if server is None:
             state.buffer.append(request)
             return
         multiplier = state.next_cost_multiplier(self.config.move_cost.cold_multiplier)
-        service_time = server.service_time(request, multiplier)
-        server.submit(request, multiplier, self._make_completion(server, service_time))
-        sink = self.telemetry
-        if sink.enabled:
-            sink.emit(
-                RequestDispatched(
-                    time=self.engine.now,
-                    fileset=request.fileset,
-                    server=server.name,
-                    service_time=service_time,
-                    router=self.router.name,
-                    replica=slot,
-                )
-            )
-
-    def _pick_owner(
-        self, fileset: str, state: FileSetState
-    ) -> tuple[int, MetadataServer | None]:
-        """The (slot, server) the router picks among live owners;
-        ``(0, None)`` means every owner is down and the request must
-        buffer."""
-        slot, name = pick_owner(
-            self.router,
-            fileset,
-            state.owner,
-            self._replica_owners.get(fileset, ()),
-            self._is_live,
-            self._queue_length,
-        )
-        return slot, (None if name is None else self.servers[name])
-
-    def _is_live(self, name: str) -> bool:
-        server = self.servers.get(name)
-        return server is not None and server.alive
-
-    def _queue_length(self, name: str) -> int:
-        return self.servers[name].facility.queue_length
-
-    def _make_completion(self, server: MetadataServer, service_time: float):
-        def _on_complete(request: MetadataRequest) -> None:
-            response = request.complete(server.name, self.engine.now)
-            if self.config.latency_metric == "wait":
-                latency = max(response - service_time, 0.0)
-            else:
-                latency = response
-            if self.router.observes:
-                # Latency-learning routers get the same response-time
-                # signal the delegate tuner sees — never the true speed.
-                self.router.observe(server.name, response)
-            self.collector.record(server.name, self.engine.now, latency)
-            self.completed[server.name] = self.completed.get(server.name, 0) + 1
-            sink = self.telemetry
-            if sink.enabled:
-                sink.emit(
-                    RequestCompleted(
-                        time=self.engine.now, server=server.name, latency=latency
-                    )
-                )
-
-        return _on_complete
+        dispatch(self, slot, server, request, multiplier)
 
     # ------------------------------------------------------------------
     # Tuning rounds (TuningHost protocol, driven by self.loop)

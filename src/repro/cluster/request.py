@@ -24,7 +24,7 @@ class MetadataRequest:
     arrival: float
     fileset: str
     cost: float
-    rid: int = field(default_factory=lambda: next(_REQUEST_IDS))
+    rid: int = field(default_factory=_REQUEST_IDS.__next__)
     #: Server that ultimately completed the request (None while pending).
     served_by: str | None = None
     completion: float | None = None
@@ -48,4 +48,4 @@ class MetadataRequest:
             )
         self.served_by = server
         self.completion = now
-        return self.latency
+        return now - self.arrival

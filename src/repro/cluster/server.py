@@ -5,12 +5,14 @@ cluster uses speeds 1, 3, 5, 7, 9: "if the least powerful server consumes
 time T to complete a metadata request, then the most powerful consumes
 T/9").  Service time for a request of cost ``c`` (speed-1 seconds) is
 ``c * multiplier / speed``, where the multiplier models a cold cache after a
-file-set move.  Queueing is FIFO via :class:`repro.sim.resources.Facility`.
+file-set move; :func:`repro.runtime.routing.dispatch` computes it once per
+request.  Queueing is FIFO via :class:`repro.sim.resources.Facility`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..sim.engine import Engine
 from ..sim.resources import Facility
@@ -35,28 +37,22 @@ class MetadataServer:
     def __init__(self, engine: Engine, spec: ServerSpec) -> None:
         self.engine = engine
         self.spec = spec
+        self.name = spec.name
         self.facility = Facility(engine, name=spec.name)
         self.alive = True
         #: Gray-failure multiplier in (0, 1] over the frozen spec speed;
         #: 1.0 means healthy.  Mutated only via :meth:`set_degradation`.
         self.degradation = 1.0
+        #: Effective speed: spec speed × current degradation.
+        self.speed = spec.speed
         #: Requests dispatched here and not yet completed (for failure
         #: re-dispatch).
         self.outstanding: dict[int, MetadataRequest] = {}
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def base_speed(self) -> float:
         """The nominal (spec) speed, ignoring any gray failure."""
         return self.spec.speed
-
-    @property
-    def speed(self) -> float:
-        """Effective speed: spec speed × current degradation."""
-        return self.spec.speed * self.degradation
 
     def set_degradation(self, factor: float) -> None:
         """Limp at ``factor`` of spec speed (1.0 restores full speed).
@@ -70,27 +66,24 @@ class MetadataServer:
                 f"degradation factor must be in (0, 1], got {factor!r}"
             )
         self.degradation = factor
-
-    def service_time(self, request: MetadataRequest, multiplier: float = 1.0) -> float:
-        """Seconds this server needs to serve ``request``."""
-        return request.cost * multiplier / self.speed
+        self.speed = self.spec.speed * factor
 
     def submit(
         self,
         request: MetadataRequest,
-        multiplier: float,
-        on_complete,
+        service_time: float,
+        on_complete: Callable[[], None],
     ) -> None:
-        """Enqueue ``request``; ``on_complete(request)`` fires at completion."""
+        """Enqueue ``request`` for ``service_time`` seconds of service.
+
+        ``on_complete()`` fires when service ends and must delete
+        ``request.rid`` from :attr:`outstanding`, as
+        :func:`repro.runtime.routing.dispatch` does.
+        """
         if not self.alive:
             raise RuntimeError(f"submit to dead server {self.name!r}")
         self.outstanding[request.rid] = request
-
-        def _done() -> None:
-            self.outstanding.pop(request.rid, None)
-            on_complete(request)
-
-        self.facility.request(self.service_time(request, multiplier), _done)
+        self.facility.request(service_time, on_complete)
 
     def fail(self) -> list[MetadataRequest]:
         """Crash: abort all queued/in-service work; returns the orphans."""
@@ -124,6 +117,7 @@ class MetadataServer:
             raise RuntimeError(f"server {self.name!r} already alive")
         self.alive = True
         self.degradation = 1.0
+        self.speed = self.spec.speed
         self.facility.resume_service()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -85,14 +85,19 @@ class FileSetRegistry:
 
     def relative(self, fileset: str, path: str) -> str:
         """``path`` relative to the file set's root, as an absolute path
-        within the file-set namespace."""
+        within the file-set namespace.
+
+        Normalizes ``path`` once; the root is stored normalized, so the
+        answer is a slice of the path.
+        """
         root = self.root_of(fileset)
-        comps = paths.components(path)
-        root_comps = paths.components(root)
-        if comps[: len(root_comps)] != root_comps:
+        norm = paths.normalize(path)
+        if norm == root:
+            return paths.ROOT
+        prefix = root if root == paths.ROOT else root + "/"
+        if not norm.startswith(prefix):
             raise FSError(f"{path!r} is not inside file set {fileset!r}")
-        rest = comps[len(root_comps):]
-        return paths.ROOT + "/".join(rest) if rest else paths.ROOT
+        return norm[len(prefix) - 1:]
 
 
 def _services_hold_ownership(cluster: MetadataCluster) -> bool:

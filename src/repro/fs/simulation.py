@@ -4,9 +4,10 @@ The queueing simulator (:mod:`repro.cluster`) times abstract requests; the
 semantic cluster (:mod:`repro.fs.cluster`) executes real operations
 untimed.  This module combines them on one engine:
 
-- every operation queues at its owner's FIFO facility (service time =
-  op cost / server speed) and executes against the *real* namespace when
-  service completes;
+- every operation queues at a :class:`~repro.cluster.server.MetadataServer`
+  (service time = op cost / server speed) through the queueing stack's
+  :func:`~repro.runtime.routing.dispatch`, and executes against the
+  *real* namespace in its ``served`` hook when service completes;
 - the delegate round runs every tuning interval on observed waits;
 - reconfiguration moves are timed: the share rescale happens immediately,
   but each file set's ownership transfers only after the 5-10 s
@@ -31,28 +32,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cluster.request import MetadataRequest
+from ..cluster.server import MetadataServer, ServerSpec
 from ..core.movement import MovementLedger, ReconfigDiff, diff_assignment
 from ..core.tuning import TuningConfig, TuningDecision
 from ..metrics.latency import LatencyCollector
 from ..placement.base import TuningContext
 from ..runtime.arrivals import schedule_all
 from ..runtime.loop import TuningLoop
-from ..runtime.routing import RequestRouter, SingleOwnerRouter, pick_owner
+from ..runtime.routing import RequestRouter, SingleOwnerRouter, dispatch, pick_owner
 from ..runtime.result import SimResult, summarize_collector
 from ..runtime.telemetry import (
     NULL_SINK,
     MoveFinished,
     MoveStarted,
     RequestArrived,
-    RequestCompleted,
-    RequestDispatched,
     TelemetrySink,
 )
 from ..sim.engine import Engine
-from ..sim.resources import Facility
 from ..sim.rng import StreamFactory
 from .cluster import MetadataCluster
-from .ops import MEAN_WEIGHT, Operation, OpResult
+from .ops import MEAN_WEIGHT, Operation
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,9 @@ class FullSystemSimulation:
         self.cluster = MetadataCluster(
             sorted(config.server_speeds), config.fileset_roots, tuning=tuning
         )
-        self.facilities = {
-            name: Facility(self.engine, name)
-            for name in config.server_speeds
+        self.servers = {
+            name: MetadataServer(self.engine, ServerSpec(name, speed))
+            for name, speed in config.server_speeds.items()
         }
         self.collector = LatencyCollector()
         for name in config.server_speeds:
@@ -184,8 +184,8 @@ class FullSystemSimulation:
             ledger=self.ledger,
             completed=dict(self.completed),
             utilization={
-                name: facility.monitor.utilization(self.engine.now)
-                for name, facility in self.facilities.items()
+                name: server.facility.monitor.utilization(self.engine.now)
+                for name, server in self.servers.items()
             },
             mean_latency=mean_latency,
             total_requests=total,
@@ -202,79 +202,36 @@ class FullSystemSimulation:
 
     # ------------------------------------------------------------------
     def _on_arrival(self, op: Operation) -> None:
-        fileset = self.cluster.registry.fileset_of(op.path)
-        owner = self.cluster.owner_of(fileset)
-        slot, server = self._pick_server(fileset, owner)
-        speed = self.config.server_speeds[server]
+        cluster = self.cluster
+        fileset = cluster.registry.fileset_of(op.path)
+        replication = self.config.replication
+        replicas = (
+            cluster.owner_set_of(fileset, replication)[1:] if replication > 1 else ()
+        )
+        slot, server = pick_owner(
+            self.router, fileset, cluster.owner_of(fileset), replicas, self.servers
+        )
         cost = self.config.mean_op_cost * op.op.weight / MEAN_WEIGHT
-        arrival = self.engine.now
+        request = MetadataRequest(arrival=self.engine.now, fileset=fileset, cost=cost)
         sink = self.telemetry
         if sink.enabled:
-            sink.emit(RequestArrived(time=arrival, fileset=fileset, cost=cost))
+            sink.emit(RequestArrived(time=request.arrival, fileset=fileset, cost=cost))
 
-        def _serve() -> None:
+        def _served() -> None:
             # Execute on whoever owns the file set NOW — ownership may have
             # moved while the op queued; the shared-disk image moved with
             # it, so execution remains correct either way.  The op queues
             # and is timed at the routed replica, but semantically executes
             # through the authoritative owner (ownership fencing).
-            result = self._execute(op)
-            wait = max(self.engine.now - arrival - cost / speed, 0.0)
-            if self.router.observes:
-                self.router.observe(server, self.engine.now - arrival)
-            self.collector.record(server, self.engine.now, wait)
-            self.completed[server] += 1
+            _owner, result = cluster.submit(
+                Operation(op=op.op, path=op.path, client=op.client,
+                          time=self.engine.now, args=op.args)
+            )
             if not result.ok:
                 self.ops_failed += 1
                 self.failures.append((op, result.error or "?"))
-            if sink.enabled:
-                sink.emit(
-                    RequestCompleted(
-                        time=self.engine.now, server=server, latency=wait
-                    )
-                )
 
-        self.facilities[server].request(cost / speed, _serve)
-        if sink.enabled:
-            sink.emit(
-                RequestDispatched(
-                    time=arrival, fileset=fileset, server=server,
-                    service_time=cost / speed,
-                    router=self.router.name, replica=slot,
-                )
-            )
-
-    def _pick_server(self, fileset: str, owner: str) -> tuple[int, str]:
-        """The (slot, server) that serves this operation.
-
-        At ``replication=1`` this is the authoritative owner; at higher r
-        the router picks among the file set's owner set (restricted to
-        servers with facilities).
-        """
-        replication = self.config.replication
-        replicas = (
-            self.cluster.owner_set_of(fileset, replication)[1:]
-            if replication > 1 else ()
-        )
-        slot, server = pick_owner(
-            self.router,
-            fileset,
-            owner,
-            replicas,
-            self.facilities.__contains__,
-            self._queue_length,
-        )
-        return slot, owner if server is None else server
-
-    def _queue_length(self, name: str) -> int:
-        return self.facilities[name].queue_length
-
-    def _execute(self, op: Operation) -> OpResult:
-        _server, result = self.cluster.submit(
-            Operation(op=op.op, path=op.path, client=op.client,
-                      time=self.engine.now, args=op.args)
-        )
-        return result
+        dispatch(self, slot, server, request, served=_served)
 
     # ------------------------------------------------------------------
     # Tuning rounds (TuningHost protocol, driven by self.loop)

@@ -24,16 +24,25 @@ Routers are deterministic given their bound RNG stream: harnesses bind a
 named stream from the run's :class:`~repro.sim.rng.StreamFactory`, so
 routed runs replay from the seed like everything else.  ``choose``
 returns an *index* into the candidate sequence, which arrives in owner-
-slot order; :func:`pick_owner` — the one owner-pick path every stack
-dispatches through — maps it back to a (slot, server) pair for the
-dispatch telemetry record.
+slot order; :func:`pick_owner` maps it back to a (slot, server) pair.
+
+:func:`pick_owner` and :func:`dispatch` are the one per-request path of
+all three stacks: the owner pick, then the service time, the queue
+submit, and at completion the wait latency, router feedback, collector
+sample, completed count and telemetry records.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
+
+from .telemetry import RequestCompleted, RequestDispatched
+
+if TYPE_CHECKING:
+    from ..cluster.request import MetadataRequest
+    from ..cluster.server import MetadataServer
 
 __all__ = [
     "RequestRouter",
@@ -43,6 +52,7 @@ __all__ = [
     "ROUTER_FACTORIES",
     "make_router",
     "pick_owner",
+    "dispatch",
 ]
 
 
@@ -227,30 +237,86 @@ def pick_owner(
     fileset: str,
     primary: str,
     replicas: Sequence[str],
-    is_live: Callable[[str], bool],
-    queue_len: Callable[[str], int],
-) -> tuple[int, str | None]:
+    servers: Mapping[str, MetadataServer],
+) -> tuple[int, MetadataServer | None]:
     """The (slot, server) that serves one request to ``fileset``.
 
-    The owner set is ``primary`` at slot 0 followed by ``replicas``.  A
-    replica equal to the primary (possible mid-move) is compacted out, so
-    slots index the owner set; a dead member keeps its slot number.  The
-    router is consulted only when two or more owners are live, so r=1
-    dispatch never touches it.  ``(0, None)`` means every owner is down.
+    The owner set is ``primary`` at slot 0 followed by ``replicas``, all
+    keys of ``servers``.  A replica equal to the primary (possible
+    mid-move) is compacted out, so slots index the owner set; a dead
+    member keeps its slot number.  The router is consulted only when two
+    or more owners are live, so r=1 dispatch never touches it.
+    ``(0, None)`` means every owner is down.
     """
+    first = servers[primary]
     if not replicas:
-        return 0, (primary if is_live(primary) else None)
-    candidates = [(0, primary)] if is_live(primary) else []
+        return 0, (first if first.alive else None)
+    candidates = [(0, first)] if first.alive else []
     slot = 0
     for name in replicas:
         if name == primary:
             continue
         slot += 1
-        if is_live(name):
-            candidates.append((slot, name))
+        server = servers[name]
+        if server.alive:
+            candidates.append((slot, server))
     if not candidates:
         return 0, None
     if len(candidates) == 1:
         return candidates[0]
-    index = router.choose(fileset, [name for _, name in candidates], queue_len)
+    index = router.choose(
+        fileset,
+        [server.name for _, server in candidates],
+        lambda name: servers[name].facility.queue_length,
+    )
     return candidates[index]
+
+
+def dispatch(
+    host,
+    slot: int,
+    server: MetadataServer,
+    request: MetadataRequest,
+    multiplier: float = 1.0,
+    served: Callable[[], None] | None = None,
+) -> None:
+    """Queue ``request`` at ``server`` and account for it at completion.
+
+    ``host`` is the harness: its ``engine``, ``router``, ``collector``,
+    ``completed`` counts and ``telemetry`` sink are read here.  The
+    service time is computed once, from the cost ``multiplier`` and the
+    server's current speed.  At completion ``served()`` runs first (the
+    fs stack executes the operation there), then the shared accounting.
+    The recorded latency is the wait, time from arrival to start of
+    service.  A latency-learning router observes the response time, and
+    never the server's true speed.
+    """
+    service_time = request.cost * multiplier / server.speed
+    name = server.name
+    engine = host.engine
+    router = host.router
+
+    def _completed() -> None:
+        del server.outstanding[request.rid]
+        if served is not None:
+            served()
+        now = engine.now
+        response = request.complete(name, now)
+        latency = max(response - service_time, 0.0)
+        if router.observes:
+            router.observe(name, response)
+        host.collector.record(name, now, latency)
+        host.completed[name] += 1
+        sink = host.telemetry
+        if sink.enabled:
+            sink.emit(RequestCompleted(time=now, server=name, latency=latency))
+
+    server.submit(request, service_time, _completed)
+    sink = host.telemetry
+    if sink.enabled:
+        sink.emit(
+            RequestDispatched(
+                time=engine.now, fileset=request.fileset, server=name,
+                service_time=service_time, router=router.name, replica=slot,
+            )
+        )

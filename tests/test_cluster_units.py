@@ -1,6 +1,8 @@
 """Unit tests for cluster building blocks: requests, file sets, servers,
 mover, fault schedules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from repro.cluster.fileset import FileSetState
 from repro.cluster.mover import FREE_MOVES, FileSetMover, MoveCostModel
 from repro.cluster.request import MetadataRequest
 from repro.cluster.server import MetadataServer, ServerSpec
+from repro.metrics.latency import LatencyCollector
+from repro.runtime.routing import SingleOwnerRouter, dispatch
+from repro.runtime.telemetry import MemorySink
 from repro.sim import Engine
 
 
@@ -85,12 +90,28 @@ def test_server_spec_validation():
         ServerSpec("s", 0.0)
 
 
-def test_server_speed_scales_service_time():
+def test_dispatch_scales_service_time_by_speed_and_multiplier():
     engine = Engine()
     fast = MetadataServer(engine, ServerSpec("fast", 9.0))
-    req = MetadataRequest(0.0, "fs", 0.9)
-    assert fast.service_time(req) == pytest.approx(0.1)
-    assert fast.service_time(req, multiplier=2.0) == pytest.approx(0.2)
+    sink = MemorySink()
+    host = SimpleNamespace(
+        engine=engine, router=SingleOwnerRouter(), collector=LatencyCollector(),
+        completed={"fast": 0}, telemetry=sink,
+    )
+    dispatch(host, 0, fast, MetadataRequest(0.0, "fs", 0.9))
+    dispatch(host, 0, fast, MetadataRequest(0.0, "fs", 0.9), multiplier=2.0)
+    fast.set_degradation(0.5)
+    dispatch(host, 0, fast, MetadataRequest(0.0, "fs", 0.9))
+    engine.run()
+    assert [r.service_time for r in sink.of_kind("dispatch")] == pytest.approx(
+        [0.1, 0.2, 0.2]
+    )
+    # The latency is the wait: each request waits for the ones before it.
+    assert [r.latency for r in sink.of_kind("completion")] == pytest.approx(
+        [0.0, 0.1, 0.3]
+    )
+    assert host.completed == {"fast": 3}
+    assert fast.outstanding == {}
 
 
 def test_server_submit_and_complete():
@@ -98,10 +119,10 @@ def test_server_submit_and_complete():
     server = MetadataServer(engine, ServerSpec("s", 2.0))
     done = []
     req = MetadataRequest(0.0, "fs", 1.0)
-    server.submit(req, 1.0, lambda r: done.append((r.rid, engine.now)))
+    server.submit(req, 0.5, lambda: done.append(engine.now))
+    assert server.outstanding == {req.rid: req}
     engine.run()
-    assert done == [(req.rid, 0.5)]
-    assert server.outstanding == {}
+    assert done == [0.5]
 
 
 def test_server_fail_orphans_outstanding():
@@ -109,7 +130,7 @@ def test_server_fail_orphans_outstanding():
     server = MetadataServer(engine, ServerSpec("s", 1.0))
     reqs = [MetadataRequest(0.0, "fs", 10.0) for _ in range(3)]
     for r in reqs:
-        server.submit(r, 1.0, lambda r: None)
+        server.submit(r, 10.0, lambda: None)
     orphans = server.fail()
     assert len(orphans) == 3
     assert all(r.retries == 1 for r in orphans)
@@ -117,7 +138,7 @@ def test_server_fail_orphans_outstanding():
     with pytest.raises(RuntimeError):
         server.fail()
     with pytest.raises(RuntimeError):
-        server.submit(reqs[0], 1.0, lambda r: None)
+        server.submit(reqs[0], 10.0, lambda: None)
     engine.run()  # nothing completes
 
 
@@ -130,7 +151,7 @@ def test_server_recover():
     with pytest.raises(RuntimeError):
         server.recover()
     done = []
-    server.submit(MetadataRequest(0.0, "fs", 1.0), 1.0, lambda r: done.append(1))
+    server.submit(MetadataRequest(0.0, "fs", 1.0), 1.0, lambda: done.append(1))
     engine.run()
     assert done == [1]
 

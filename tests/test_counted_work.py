@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import ANUPlacement, MappedInterval, PairwiseTuner, ServerReport
-from repro.fs import FileSetRegistry, MetadataCluster
+from repro.fs import FSError, FileSetRegistry, MetadataCluster, paths
 from repro.metrics.latency import LatencyCollector
 from repro.placement import TwoChoicePolicy
 from repro.placement.consistent_hash import ConsistentHashRing
@@ -171,6 +171,29 @@ def test_fileset_of_does_not_grow_with_file_sets():
         return count_calls(lambda: [registry.fileset_of(p) for p in probes])
 
     assert_grows_at_most(resolve_1000(21), resolve_1000(2_100), 1.2)
+
+
+def test_relative_normalizes_the_path_once():
+    """A path relative to its file set costs one normalization of the
+    path plus a constant, whatever the root: the registry stores each
+    root normalized, so neither side is split into components."""
+    registry = FileSetRegistry({"top": "/", "vol": "/vol00", "deep": "/a/b/c/d"})
+    for fileset, path, expected in (
+        ("top", "/x//y/", "/x/y"),
+        ("top", "/", "/"),
+        ("vol", "/vol00", "/"),
+        ("vol", "/vol00/f/", "/f"),
+        ("deep", "/a/b/c/d/e//f", "/e/f"),
+    ):
+        assert registry.relative(fileset, path) == expected
+        one = count_calls(lambda: paths.normalize(path))
+        rel = count_calls(lambda: registry.relative(fileset, path))
+        # relative's own frame and the root lookup; a startswith and a len.
+        assert rel["call"] <= one["call"] + 2, (fileset, path)
+        assert rel["c_call"] <= one["c_call"] + 2, (fileset, path)
+    for fileset, path in (("vol", "/vol00x/f"), ("vol", "/"), ("deep", "/a/b/c")):
+        with pytest.raises(FSError):
+            registry.relative(fileset, path)
 
 
 def test_owner_sets_hash_once_per_file_set_between_mutations():

@@ -13,6 +13,7 @@ import pytest
 
 from repro import ClusterConfig, ClusterSimulation, SyntheticConfig, \
     generate_synthetic, paper_servers
+from repro.cluster.server import MetadataServer, ServerSpec
 from repro.core.anu import ANUPlacement
 from repro.core.hashing import hash_to_choice, hash_to_distinct_choices
 from repro.core.movement import Move, diff_assignment, diff_owner_sets
@@ -35,6 +36,7 @@ from repro.runtime.routing import (
     pick_owner,
 )
 from repro.runtime.telemetry import CallbackSink
+from repro.sim import Engine
 
 SERVERS = [f"s{i}" for i in range(6)]
 FILESETS = [f"fs{i:04d}" for i in range(200)]
@@ -166,10 +168,13 @@ class _LastRouter(RequestRouter):
 )
 def test_pick_owner_table(primary, replicas, live, expected, routed):
     router = _NeverRouter() if routed is None else _LastRouter()
-    picked = pick_owner(
-        router, "fs", primary, replicas, live.__contains__, lambda s: 0
-    )
-    assert picked == expected
+    engine = Engine()
+    servers = {name: MetadataServer(engine, ServerSpec(name, 1.0)) for name in "abc"}
+    for name in sorted(set(servers) - live):
+        # A crashed and a draining server are both out of routing.
+        (servers[name].drain if name == "b" else servers[name].fail)()
+    slot, server = pick_owner(router, "fs", primary, replicas, servers)
+    assert (slot, server and server.name) == expected
     if routed is not None:
         assert router.seen == [routed]
 
