@@ -289,8 +289,7 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute the full trace, then drain queues; returns the results."""
-        if self.config.tuning_interval <= self.trace.duration:
-            self.loop.start(self.config.tuning_interval)
+        self.loop.start()
         return self._replay()
 
     def _replay(self) -> RunResult:

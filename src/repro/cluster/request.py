@@ -25,27 +25,16 @@ class MetadataRequest:
     fileset: str
     cost: float
     rid: int = field(default_factory=_REQUEST_IDS.__next__)
-    #: Server that ultimately completed the request (None while pending).
-    served_by: str | None = None
     completion: float | None = None
-    #: How many times the request was re-dispatched (server failures).
-    retries: int = 0
 
-    @property
-    def latency(self) -> float:
-        """Completion minus arrival; raises if the request is pending."""
-        if self.completion is None:
-            raise ValueError(f"request {self.rid} has not completed")
-        return self.completion - self.arrival
-
-    def complete(self, server: str, now: float) -> float:
-        """Mark done at ``now`` on ``server``; returns latency."""
+    def complete(self, now: float) -> float:
+        """Mark done at ``now``; returns the latency (completion minus
+        arrival)."""
         if self.completion is not None:
             raise ValueError(f"request {self.rid} completed twice")
         if now < self.arrival:
             raise ValueError(
                 f"completion {now} precedes arrival {self.arrival}"
             )
-        self.served_by = server
         self.completion = now
         return now - self.arrival

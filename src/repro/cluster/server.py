@@ -93,8 +93,6 @@ class MetadataServer:
         self.facility.fail()
         orphans = sorted(self.outstanding.values(), key=lambda r: (r.arrival, r.rid))
         self.outstanding.clear()
-        for request in orphans:
-            request.retries += 1
         return orphans
 
     def drain(self) -> None:

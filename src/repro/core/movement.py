@@ -15,19 +15,11 @@ from typing import Mapping
 
 @dataclass(frozen=True)
 class Move:
-    """One file set changing owner (in one replica slot).
-
-    ``slot`` is the owner-set position that changed: 0 is the primary —
-    the only slot that exists under classic single ownership, so every
-    pre-replication caller sees unchanged semantics — and slots >= 1 are
-    replica owners, whose reassignment is routing-plane bookkeeping (a
-    shared-disk replica reads the same image; no flush travels).
-    """
+    """One file set changing owner."""
 
     fileset: str
     source: str | None  # None when newly placed
     destination: str
-    slot: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,44 +61,6 @@ def diff_assignment(
             stayed += 1
         else:
             moves.append(Move(fileset=name, source=src, destination=dst))
-    return ReconfigDiff(moves=tuple(moves), stayed=stayed)
-
-
-def diff_owner_sets(
-    old: "Mapping[str, str | tuple[str, ...]]",
-    new: "Mapping[str, str | tuple[str, ...]]",
-) -> ReconfigDiff:
-    """Slot-wise diff of two owner-set mappings.
-
-    Values may be plain owner strings (treated as 1-tuples) or owner
-    tuples; for two ``str``-valued mappings the result is identical to
-    :func:`diff_assignment`, so single-ownership callers can switch to
-    this without behavior change.  Each (file set, slot) pair counts
-    once: a slot whose owner changed yields a :class:`Move` carrying the
-    slot index, an unchanged slot counts toward ``stayed``.  A slot
-    present only in ``new`` (replication grew, or a fresh placement) is
-    a move from ``None``; slots present only in ``old`` are ignored,
-    mirroring the deleted-file-set rule above.
-    """
-    moves: list[Move] = []
-    stayed = 0
-    for name in sorted(new):
-        dst_owners = new[name]
-        if isinstance(dst_owners, str):
-            dst_owners = (dst_owners,)
-        src_owners = old.get(name)
-        if src_owners is None:
-            src_owners = ()
-        elif isinstance(src_owners, str):
-            src_owners = (src_owners,)
-        for slot, dst in enumerate(dst_owners):
-            src = src_owners[slot] if slot < len(src_owners) else None
-            if src == dst:
-                stayed += 1
-            else:
-                moves.append(
-                    Move(fileset=name, source=src, destination=dst, slot=slot)
-                )
     return ReconfigDiff(moves=tuple(moves), stayed=stayed)
 
 

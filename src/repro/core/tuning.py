@@ -304,11 +304,11 @@ class DelegateRoundDriver:
     """One delegate's tuning rounds: the stateless tuner plus the only copy
     of the previous interval's reports that the divergent gate reads.
 
-    ``ANUPolicy`` (queueing cluster), ``MetadataCluster`` (semantic and
-    timed full-system harnesses) and the message-level
-    ``ServerNode`` delegate each own one.  Their hosts call :meth:`reset`
-    on a delegate fail-over and on a membership change, so the next round
-    runs with the divergent gate skipped.  The gate looks up a server's
+    ``ANUPolicy`` (which the queueing cluster and ``MetadataCluster``, the
+    semantic and timed full-system harnesses, both tune through) and the
+    message-level ``ServerNode`` delegate each own one.  Their hosts call
+    :meth:`reset` on a delegate fail-over and on a membership change, so
+    the next round runs with the divergent gate skipped.  The gate looks up a server's
     previous latency by that server's own name, so it only ever compares a
     server against its own history.
     """

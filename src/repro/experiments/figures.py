@@ -24,7 +24,8 @@ from ..cluster.cluster import RunResult
 from ..membership.faults import FaultSchedule
 from ..core.anu import ANUPlacement
 from ..core.interval import MappedInterval
-from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
+from ..core.tuning import TuningConfig
+from ..theory.bounds import tune_against_proxy
 from .config import FIGURES, ExperimentConfig
 from .runner import run_experiment
 
@@ -43,47 +44,11 @@ class IntervalDemoResult:
     final_latency_spread: float  # max/mean of the latency proxy at end
 
 
-def _analytic_tune(
-    placement: ANUPlacement,
-    speeds: dict[str, float],
-    weights: dict[str, float],
-    iterations: int = 30,
-    config: TuningConfig | None = None,
-) -> tuple[int, float]:
-    """Iterate delegate tuning against an analytic latency proxy.
-
-    The proxy for server latency is (sum of hosted file-set weight) /
-    speed — the steady-state utilization-driven latency, which is what the
-    real simulator's reports converge to.  Returns (iterations used, final
-    max/mean latency spread).
-    """
-    cfg = config or TuningConfig(
-        use_thresholding=True, threshold=0.25, use_top_off=False,
-        use_divergent=False, max_step=1.5,
-    )
-    tuner = DelegateTuner(cfg)
-    names = sorted(weights)
-    spread = float("inf")
-    for i in range(iterations):
-        assignment = placement.assignment(names)
-        load = {s: 0.0 for s in placement.servers}
-        count = {s: 0 for s in placement.servers}
-        for fs, server in assignment.items():
-            load[server] += weights[fs]
-            count[server] += 1
-        reports = [
-            ServerReport(s, load[s] / speeds[s], count[s])
-            for s in placement.servers
-        ]
-        latencies = [r.mean_latency for r in reports if r.request_count > 0]
-        mean = sum(latencies) / len(latencies) if latencies else 0.0
-        spread = max(latencies) / mean if mean > 0 else 1.0
-        decision = tuner.compute(placement.shares(), reports)
-        if not decision.tuned:
-            return i, spread
-        placement.set_shares(decision.new_shares)
-        placement.check_invariants()
-    return iterations, spread
+#: Delegate knobs for the Figure 3/4 demonstrations.
+DEMO_TUNING = TuningConfig(
+    use_thresholding=True, threshold=0.25, use_top_off=False,
+    use_divergent=False, max_step=1.5,
+)
 
 
 def figure3_demo(n_filesets: int = 64) -> IntervalDemoResult:
@@ -141,7 +106,9 @@ def _run_demo(
     initial_assignment = placement.assignment(names)
     initial_counts = _counts(initial_assignment, placement.servers)
     initial_spread = _latency_spread(placement, speeds, weights)
-    iterations, spread = _analytic_tune(placement, speeds, weights)
+    iterations, spread = tune_against_proxy(
+        placement, speeds, weights, 30, DEMO_TUNING
+    )
     final_assignment = placement.assignment(names)
     return IntervalDemoResult(
         placement=placement,

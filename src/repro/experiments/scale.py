@@ -26,8 +26,9 @@ import numpy as np
 from ..core.anu import ANUPlacement
 from ..sim.rng import StreamFactory
 from ..core.movement import diff_assignment
-from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
+from ..core.tuning import TuningConfig
 from ..metrics.balance import coefficient_of_variation
+from ..theory.bounds import tune_against_proxy
 
 
 @dataclass(frozen=True)
@@ -59,33 +60,11 @@ def _weights(m: int, rng: np.random.Generator) -> dict[str, float]:
     return {f"fs{i:05d}": float(w[i]) for i in range(m)}
 
 
-def _tune(
-    placement: ANUPlacement,
-    speeds: dict[str, float],
-    weights: dict[str, float],
-    rounds: int,
-) -> int:
-    tuner = DelegateTuner(TuningConfig(
-        use_thresholding=True, threshold=0.2, use_top_off=False,
-        use_divergent=False, max_step=2.0,
-    ))
-    names = sorted(weights)
-    for i in range(rounds):
-        assignment = placement.assignment(names)
-        load = {s: 0.0 for s in placement.servers}
-        count = {s: 0 for s in placement.servers}
-        for fs, server in assignment.items():
-            load[server] += weights[fs]
-            count[server] += 1
-        reports = [
-            ServerReport(s, load[s] / speeds[s], count[s])
-            for s in placement.servers
-        ]
-        decision = tuner.compute(placement.shares(), reports)
-        if not decision.tuned:
-            return i
-        placement.set_shares(decision.new_shares)
-    return rounds
+#: Delegate knobs for the scale study's analytic tuning.
+SCALE_TUNING = TuningConfig(
+    use_thresholding=True, threshold=0.2, use_top_off=False,
+    use_divergent=False, max_step=2.0,
+)
 
 
 def measure_scale_point(
@@ -99,7 +78,9 @@ def measure_scale_point(
     speeds = _speeds(n_servers, rng)
     weights = _weights(n_servers * filesets_per_server, rng)
     placement = ANUPlacement(sorted(speeds))
-    rounds = _tune(placement, speeds, weights, tuning_rounds)
+    rounds, _spread = tune_against_proxy(
+        placement, speeds, weights, tuning_rounds, SCALE_TUNING
+    )
 
     names = sorted(weights)
     assignment = placement.assignment(names)

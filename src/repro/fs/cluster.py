@@ -3,13 +3,16 @@
 This ties the file-system substrate together into the system of Figure 1:
 a global namespace partitioned into file sets (subtrees), a shared disk
 holding every file set's metadata image, one :class:`MetadataService` per
-server, and ANU randomization as the routing/ownership layer.  Unlike
-:mod:`repro.cluster` (which models queueing *timing*), this cluster
-executes *real* metadata operations — create/stat/rename/locks — and
-really moves namespace images over the shared disk when ownership changes,
-so the end-to-end correctness of placement + movement + recovery is
-testable: every operation lands on exactly the server that owns its file
-set, and no update is ever lost across tuning, failure, and recovery.
+server, and ANU randomization as the routing/ownership layer — the same
+:class:`~repro.placement.anu_policy.ANUPolicy` the queueing cluster runs,
+so placement, the delegate round and membership re-placement have one
+implementation.  Unlike :mod:`repro.cluster` (which models queueing
+*timing*), this cluster executes *real* metadata operations —
+create/stat/rename/locks — and really moves namespace images over the
+shared disk when ownership changes, so the end-to-end correctness of
+placement + movement + recovery is testable: every operation lands on
+exactly the server that owns its file set, and no update is ever lost
+across tuning, failure, and recovery.
 """
 
 from __future__ import annotations
@@ -17,18 +20,13 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from ..contracts import checks_invariants, invariant
-from ..core.anu import ANUPlacement
 from ..core.hashing import HashFamily
 from ..core.movement import MovementLedger, diff_assignment
-from ..core.tuning import (
-    DelegateRoundDriver,
-    ServerReport,
-    TuningConfig,
-    TuningDecision,
-)
+from ..core.tuning import ServerReport, TuningConfig, TuningDecision
 from ..membership.director import MembershipDirector
 from ..membership.faults import FaultEvent, FaultKind
 from ..membership.lifecycle import MembershipRoster
+from ..placement.anu_policy import ANUPolicy
 from ..placement.replicated import derive_owner_set
 from ..runtime.telemetry import NULL_SINK, TelemetrySink
 from ..units import Seconds
@@ -132,9 +130,14 @@ class MetadataCluster:
             host=self,
             telemetry=telemetry if telemetry is not None else NULL_SINK,
         )
-        self.placement = ANUPlacement(sorted(self.services), hash_family=hash_family)
-        #: The delegate round: tuner plus the previous interval's reports.
-        self.rounds = DelegateRoundDriver(tuning)
+        #: Placement and the delegate round, as the queueing cluster runs
+        #: them; :meth:`rescale` and the membership hooks drive it.
+        self.policy = ANUPolicy(tuning, hash_family=hash_family)
+        initial = self.policy.initial_assignment(
+            self.registry.filesets, sorted(self.services)
+        )
+        #: A plain attribute, read by :meth:`owner_set_of` on every operation.
+        self.placement = self.policy.placement
         self.ledger = MovementLedger()
         #: (file set, replication) -> owner set, valid for one placement
         #: epoch; see :meth:`owner_set_of`.
@@ -144,9 +147,7 @@ class MetadataCluster:
         for fileset in self.registry.filesets:
             self.disk.format_fileset(Namespace(fileset))
         self._ownership: dict[str, str] = {}
-        self._apply_assignment(
-            self.placement.assignment(self.registry.filesets)
-        )
+        self._apply_assignment(initial)
 
     # ------------------------------------------------------------------
     # Ownership realization over the shared disk
@@ -212,7 +213,7 @@ class MetadataCluster:
 
         Memoized per placement epoch.  The derivation is a pure function
         of the owner, the live servers and the placement; the servers
-        change only together with a placement add or remove, which bumps
+        change only inside a membership change, whose re-placement bumps
         the epoch, and a hit must still start with the current owner.
         """
         owner = self.owner_of(fileset)
@@ -288,12 +289,7 @@ class MetadataCluster:
         :meth:`transfer_ownership`, so, as there, only service
         referential integrity is asserted.
         """
-        decision = self.rounds.compute(self.placement.shares(), reports)
-        if not decision.tuned:
-            return None, decision
-        self.placement.set_shares(decision.new_shares)
-        self.placement.check_invariants()
-        return self.placement.assignment(self.registry.filesets), decision
+        return self.policy.tune(reports, self.registry.filesets)
 
     @checks_invariants
     def fail_server(self, name: str, now: float = 0.0) -> int:
@@ -357,7 +353,6 @@ class MetadataCluster:
         """
         self.services[server].crash()
         del self.services[server]
-        self.placement.remove_server(server)
         self._ownership = {
             fs: owner for fs, owner in self._ownership.items() if owner != server
         }
@@ -374,7 +369,6 @@ class MetadataCluster:
         for fileset in service.owned_filesets():
             service.release_fileset(fileset, now=now)
         del self.services[server]
-        self.placement.remove_server(server)
         self._ownership = {
             fs: owner for fs, owner in self._ownership.items() if owner != server
         }
@@ -386,7 +380,6 @@ class MetadataCluster:
     def restart_server(self, server: str, now: Seconds) -> None:
         """A former member rejoins empty; images reload from the disk."""
         self.services[server] = MetadataService(server, self.disk)
-        self.placement.add_server(server)
 
     @invariant(
         _services_hold_ownership,
@@ -396,7 +389,6 @@ class MetadataCluster:
         """A brand-new server joins (this harness models no speeds; the
         placement shares carry any heterogeneity)."""
         self.services[server] = MetadataService(server, self.disk)
-        self.placement.add_server(server)
 
     def set_speed(self, server: str, factor: float, now: Seconds) -> None:
         """Gray failure: pure bookkeeping here.  This harness models no
@@ -410,18 +402,20 @@ class MetadataCluster:
     def delegate_failover(self, now: Seconds) -> None:
         """Tuning here is delegate-less (callers invoke :meth:`retune`
         directly), so a delegate crash only clears report history."""
-        self.rounds.reset()
+        self.policy.fail_delegate()
         return None
 
     def membership_assignment(
         self,
     ) -> tuple[dict[str, str], dict[str, str]]:
-        """(old, new): current ownership vs the re-probed placement.
-        Report history straddles the membership change; drop it."""
-        self.rounds.reset()
+        """(old, new): current ownership vs the policy's re-placement
+        over the live services, which also drops the report history that
+        straddles the membership change."""
         return (
             dict(self._ownership),
-            self.placement.assignment(self.registry.filesets),
+            self.policy.on_membership_change(
+                self.registry.filesets, sorted(self.services), self._ownership
+            ),
         )
 
     @invariant(

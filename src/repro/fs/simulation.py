@@ -17,7 +17,7 @@ untimed.  This module combines them on one engine:
 Round cadence belongs to the shared
 :class:`~repro.runtime.loop.TuningLoop`; this module implements its host
 protocol (decision = the metadata cluster's
-:class:`~repro.core.tuning.DelegateRoundDriver`, realize = delayed
+:meth:`~repro.placement.anu_policy.ANUPolicy.tune`, realize = delayed
 shared-disk ownership transfers) and emits the structured telemetry
 stream.  Scheduling is replicated exactly, so seeded runs replay
 bit-identically through the refactor.
@@ -170,8 +170,7 @@ class FullSystemSimulation:
             self.engine, self.operations, self._on_arrival,
             time_of=lambda op: op.time,
         )
-        if self._duration > 0:
-            self.loop.start(min(self.config.tuning_interval, self._duration))
+        self.loop.start()
         self.engine.run()
         duration = max(self._duration, self.engine.now, 1e-9)
         series, mean_latency, total = summarize_collector(

@@ -11,21 +11,24 @@ plane.  :class:`MembershipDirector` owns that logic once:
 1. **telemetry** — emit :class:`~repro.runtime.telemetry.FaultInjected`
    before the change and a classified
    :class:`~repro.runtime.telemetry.MembershipChanged` after it;
-2. **legality** — drive the event through the
-   :class:`~repro.membership.lifecycle.MembershipRoster` state machine,
-   so an illegal transition raises before any harness state mutates;
+2. **legality** — drive the event through
+   :func:`~repro.membership.faults.apply_event`, the
+   :class:`~repro.membership.lifecycle.MembershipRoster` state machine
+   plus the last-live-server check that the schedule validator and the
+   injector share, so an illegal event raises before any harness state
+   mutates;
 3. **realization** — call the harness's kind-specific primitive
    (crash / drain / restart / install) through the
    :class:`MembershipHost` protocol;
 4. **re-placement** — ask the host for its post-change assignment
-   (``PlacementPolicy.on_membership_change`` or a direct
-   ``ANUPlacement`` re-probe; the placement layer repartitions whenever
-   ``p < 2*(n+1)``; the host resets its delegate round there — the
-   paper's stateless recovery), classify the resulting moves with
-   :func:`~repro.core.movement.diff_owner_sets` into *orphan re-homes*
-   versus *live rebalances* (slot-wise, so replicated hosts orphan a
-   file set only when every owner is gone), and have the host realize
-   the diff;
+   (every placing host asks its policy's
+   ``PlacementPolicy.on_membership_change``; the placement layer
+   repartitions whenever ``p < 2*(n+1)``; the host resets its delegate
+   round there — the paper's stateless recovery), classify the moves of
+   the primary assignment, found by
+   :func:`~repro.core.movement.diff_assignment`, into *orphan re-homes*
+   versus *live rebalances*, and have the host realize the diff (replica
+   slots are re-derived from the primary and are not counted);
 5. **re-injection** — hand any work orphaned by a crash back to the host
    for re-dispatch, after the re-placement so it routes to the new
    owners.
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
-from ..core.movement import ReconfigDiff, diff_owner_sets
+from ..core.movement import ReconfigDiff, diff_assignment
 from ..runtime.telemetry import (
     NULL_SINK,
     FaultInjected,
@@ -56,8 +59,8 @@ from ..runtime.telemetry import (
     TelemetrySink,
 )
 from ..units import Seconds
-from .faults import FaultEvent, FaultKind
-from .lifecycle import LifecycleError, MembershipRoster
+from .faults import FaultEvent, FaultKind, apply_event
+from .lifecycle import MembershipRoster
 
 __all__ = ["MembershipHost", "MembershipChange", "MembershipDirector"]
 
@@ -177,28 +180,7 @@ class MembershipDirector:
         # PairingLaw checks this on every record).  The roster
         # emits nothing itself, so for legal events the stream is
         # byte-identical to emitting up front.
-        if kind is FaultKind.DELEGATE_CRASH:
-            if self.roster.live_count < 2:
-                raise LifecycleError(
-                    f"delegate crash with {self.roster.live_count} live "
-                    f"server(s); fail-over needs a surviving server"
-                )
-        elif kind is FaultKind.FAIL:
-            self._require_survivor(event)
-            self.roster.fail(event.server)
-        elif kind is FaultKind.DECOMMISSION:
-            self._require_survivor(event)
-            self.roster.decommission(event.server)
-        elif kind is FaultKind.RECOVER:
-            self.roster.recover(event.server)
-        elif kind is FaultKind.COMMISSION:
-            self.roster.commission(event.server, event.speed)
-        elif kind is FaultKind.DEGRADE:
-            self.roster.degrade(event.server, event.factor)
-        elif kind is FaultKind.RESTORE:
-            self.roster.restore(event.server)
-        else:  # pragma: no cover - enum is closed
-            raise AssertionError(f"unhandled fault kind {kind!r}")
+        apply_event(self.roster, event)
         if sink.enabled:
             sink.emit(
                 FaultInjected(time=now, fault=kind.value, server=event.server)
@@ -277,26 +259,12 @@ class MembershipDirector:
         return change
 
     # ------------------------------------------------------------------
-    def _require_survivor(self, event: FaultEvent) -> None:
-        """Reject taking down the last live server: no host can re-place
-        its file sets, so the change would fail half-applied.  The
-        schedule validator rejects the same event."""
-        if self.roster.is_live(event.server) and self.roster.live_count == 1:
-            raise LifecycleError(
-                f"{event.kind.value} of {event.server!r} would leave no "
-                f"live server"
-            )
-
     def _rebalance(self, now: Seconds) -> ReconfigDiff | None:
         """Re-place after the server-set change and realize the diff."""
         pair = self.host.membership_assignment()
         if pair is None:
             return None
         old, new = pair
-        # Owner-set-aware diff: identical to diff_assignment for the
-        # classic str-valued maps, but hosts that report r-way owner sets
-        # get per-slot classification — a crash orphans a file set's work
-        # only when *all* of its owners are gone.
-        diff = diff_owner_sets(old, new)
+        diff = diff_assignment(old, new)
         self.host.realize_membership(dict(old), dict(new), now)
         return diff

@@ -88,10 +88,12 @@ def _sort_key(event: FaultEvent) -> tuple[Seconds, str]:
 def apply_event(roster: MembershipRoster, event: FaultEvent) -> None:
     """Replay one event through the lifecycle state machine.
 
-    Raises :class:`LifecycleError` when the transition is illegal in the
-    roster's current state.  This is the single dispatch the schedule
-    validator, the stochastic injector, and the membership director all
-    share, so "valid" means the same thing everywhere.
+    Raises :class:`LifecycleError`, leaving the roster untouched, when the
+    transition is illegal in the roster's current state or would take
+    down the last live server (no survivor could take over its file
+    sets).  This is the single dispatch the schedule validator, the
+    stochastic injector, and the membership director all share, so
+    "valid" means the same thing everywhere.
     """
     kind = event.kind
     if kind is FaultKind.DELEGATE_CRASH:
@@ -102,6 +104,15 @@ def apply_event(roster: MembershipRoster, event: FaultEvent) -> None:
                 f"surviving server to elect"
             )
         return
+    if (
+        kind in (FaultKind.FAIL, FaultKind.DECOMMISSION)
+        and roster.is_live(event.server)
+        and roster.live_count == 1
+    ):
+        raise LifecycleError(
+            f"{kind.value} of {event.server!r} at t={event.time!r} would "
+            f"leave no live server"
+        )
     if kind is FaultKind.FAIL:
         roster.fail(event.server)
     elif kind is FaultKind.RECOVER:
@@ -116,10 +127,6 @@ def apply_event(roster: MembershipRoster, event: FaultEvent) -> None:
         roster.restore(event.server)
     else:  # pragma: no cover - enum is closed
         raise AssertionError(f"unhandled fault kind {kind!r}")
-    if roster.live_count == 0:
-        raise LifecycleError(
-            f"schedule leaves the cluster with no servers at t={event.time!r}"
-        )
 
 
 @dataclass

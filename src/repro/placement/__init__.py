@@ -7,21 +7,14 @@
 - :class:`~repro.placement.prescient.PrescientPolicy` — perfect-knowledge LPT;
 - :class:`~repro.placement.consistent_hash.ConsistentHashPolicy` — related-work
   baseline;
-- :class:`~repro.placement.replicated.ReplicatedPolicy` — r-way owner-set
-  wrapper over any of the above (the assignment plane of the two-plane
-  placement split; see :mod:`repro.runtime.routing` for the other plane).
+- :class:`~repro.placement.replicated.ReplicatedPolicy` — wraps any of the
+  above for a run with r owners per file set; the owner sets themselves
+  come from :func:`~repro.placement.replicated.derive_owner_set`, whose
+  answers :mod:`repro.runtime.routing` routes over.
 """
 
 from .anu_policy import ANUPolicy, DecentralizedANUPolicy
-from .base import (
-    OwnerSet,
-    PlacementPolicy,
-    TuningContext,
-    normalize_owner_set,
-    normalize_owner_sets,
-    validate_assignment,
-    validate_owner_sets,
-)
+from .base import PlacementPolicy, TuningContext, validate_assignment
 from .consistent_hash import ConsistentHashPolicy, ConsistentHashRing
 from .prescient import PrescientPolicy, lpt_assign, predicted_makespan
 from .replicated import ReplicatedPolicy, derive_owner_set, derive_owner_sets
@@ -30,13 +23,9 @@ from .simple_random import SimpleRandomPolicy
 from .two_choice import TwoChoicePolicy
 
 __all__ = [
-    "OwnerSet",
     "PlacementPolicy",
     "TuningContext",
-    "normalize_owner_set",
-    "normalize_owner_sets",
     "validate_assignment",
-    "validate_owner_sets",
     "ReplicatedPolicy",
     "derive_owner_set",
     "derive_owner_sets",

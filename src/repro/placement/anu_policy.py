@@ -10,11 +10,13 @@ tuner flavours are supported:
 - :class:`DecentralizedANUPolicy` — the §5 future-work variant using
   pair-wise exchanges (:class:`repro.core.decentralized.PairwiseTuner`).
 
-:class:`ANUPolicy` tunes through a
-:class:`~repro.core.tuning.DelegateRoundDriver`, the one holder of the
-previous interval's reports.  A delegate fail-over or a membership change
-resets it (the replacement delegate is stateless), which disables the
-divergent gate for the next round exactly as the paper describes.
+:meth:`ANUPolicy.tune` is the delegate round itself: the queueing
+cluster reaches it through :meth:`ANUPolicy.update`, and the semantic
+:class:`~repro.fs.cluster.MetadataCluster` calls it directly.  It runs
+through a :class:`~repro.core.tuning.DelegateRoundDriver`, the one holder
+of the previous interval's reports.  A delegate fail-over or a membership
+change resets it (the replacement delegate is stateless), which disables
+the divergent gate for the next round exactly as the paper describes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from typing import Mapping, Sequence
 from ..core.anu import ANUPlacement
 from ..core.decentralized import PairwiseConfig, PairwiseTuner
 from ..core.hashing import HashFamily
-from ..core.tuning import DelegateRoundDriver, TuningConfig
+from ..core.tuning import (
+    DelegateRoundDriver,
+    ServerReport,
+    TuningConfig,
+    TuningDecision,
+)
 from .base import PlacementPolicy, TuningContext
 
 
@@ -55,18 +62,29 @@ class ANUPolicy(PlacementPolicy):
         self.rounds.reset()
         return self.placement.assignment(filesets)
 
-    def update(self, context: TuningContext) -> dict[str, str] | None:
+    def tune(
+        self, reports: Sequence[ServerReport], filesets: Sequence[str]
+    ) -> tuple[dict[str, str] | None, TuningDecision]:
+        """One delegate round over ``reports``: rescale the regions when
+        it tunes, and return the assignment of ``filesets`` they now name
+        (None when the round does not tune) with the round's decision."""
         placement = self._require_placement()
-        decision = self.rounds.compute(placement.shares(), context.reports)
+        decision = self.rounds.compute(placement.shares(), reports)
         if not decision.tuned:
-            return None
+            return None, decision
         placement.set_shares(decision.new_shares)
         placement.check_invariants()
-        self.share_history.append((
-            context.time,
-            {s: placement.interval.share_fraction(s) for s in placement.servers},
-        ))
-        return placement.assignment(context.filesets)
+        return placement.assignment(filesets), decision
+
+    def update(self, context: TuningContext) -> dict[str, str] | None:
+        new, _decision = self.tune(context.reports, context.filesets)
+        if new is not None:
+            placement = self.placement
+            self.share_history.append((
+                context.time,
+                {s: placement.interval.share_fraction(s) for s in placement.servers},
+            ))
+        return new
 
     def on_membership_change(
         self,

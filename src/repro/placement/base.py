@@ -46,10 +46,6 @@ class TuningContext:
     #: Required: harnesses built on :mod:`repro.runtime` pass a stream
     #: derived from the run's seed, and a context without one is rejected.
     rng: np.random.Generator | None = None
-    #: Replicated-ownership view (assignment plane, r > 1): file set ->
-    #: its full owner tuple, slot 0 being the primary in ``assignment``.
-    #: ``None`` under classic single ownership — policies may ignore it.
-    owner_sets: Mapping[str, "OwnerSet"] | None = None
 
     def __post_init__(self) -> None:
         if self.rng is None:
@@ -127,65 +123,3 @@ def validate_assignment(
     bad = [n for n, s in assignment.items() if s not in live]
     if bad:
         raise ValueError(f"file sets assigned to dead servers: {bad[:5]}...")
-
-
-#: The assignment-plane value under replicated ownership: the tuple of a
-#: file set's ``r`` owners, slot 0 being the primary (the classic single
-#: owner — r=1 is exactly the old ``dict[str, str]`` semantics).
-OwnerSet = tuple[str, ...]
-
-
-def normalize_owner_set(value: "str | OwnerSet") -> OwnerSet:
-    """Coerce a single-owner ``str`` or owner tuple to a valid OwnerSet.
-
-    Owner sets must be non-empty and duplicate-free — one server serving
-    two replica slots of the same file set is a bookkeeping bug, not
-    extra capacity.
-    """
-    owners = (value,) if isinstance(value, str) else tuple(value)
-    if not owners:
-        raise ValueError("an owner set needs at least one owner")
-    if len(set(owners)) != len(owners):
-        raise ValueError(f"duplicate owners in owner set {owners!r}")
-    return owners
-
-
-def normalize_owner_sets(
-    mapping: Mapping[str, "str | OwnerSet"],
-) -> dict[str, OwnerSet]:
-    """Normalize every value of an assignment-or-owner-set mapping."""
-    return {name: normalize_owner_set(value) for name, value in mapping.items()}
-
-
-def validate_owner_sets(
-    owner_sets: Mapping[str, "str | OwnerSet"],
-    filesets: Sequence[str],
-    servers: Sequence[str],
-    replication: int | None = None,
-) -> None:
-    """Owner-set analogue of :func:`validate_assignment`.
-
-    Every file set must carry a duplicate-free owner tuple of live
-    servers; when ``replication`` is given, every tuple must have exactly
-    that many slots (the fleet permitting — a tuple may be shorter only
-    when fewer live servers exist than replicas requested).
-    """
-    live = set(servers)
-    missing = [n for n in filesets if n not in owner_sets]
-    if missing:
-        raise ValueError(f"unassigned file sets: {missing[:5]}...")
-    for name, value in owner_sets.items():
-        owners = normalize_owner_set(value)
-        dead = [s for s in owners if s not in live]
-        if dead:
-            raise ValueError(
-                f"file set {name!r} has dead owner(s) {dead!r} in {owners!r}"
-            )
-        if replication is not None:
-            expected = min(replication, len(live))
-            if len(owners) != expected:
-                raise ValueError(
-                    f"file set {name!r} has {len(owners)} owner(s), "
-                    f"expected {expected} (r={replication}, "
-                    f"{len(live)} live)"
-                )

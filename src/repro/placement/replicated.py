@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.hashing import hash_to_distinct_choices
-from .base import OwnerSet, PlacementPolicy, TuningContext
+from .base import PlacementPolicy, TuningContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.anu import ANUPlacement
@@ -48,7 +48,7 @@ def derive_owner_sets(
     servers: Sequence[str],
     replication: int,
     placement: "ANUPlacement | None" = None,
-) -> dict[str, OwnerSet]:
+) -> dict[str, tuple[str, ...]]:
     """Expand a primary assignment into owner sets of size ``replication``.
 
     Slot 0 is always ``primary[name]`` — the assignment plane the policy
@@ -78,7 +78,7 @@ def derive_owner_set(
     ordered_servers: Sequence[str],
     replication: int,
     placement: "ANUPlacement | None" = None,
-) -> OwnerSet:
+) -> tuple[str, ...]:
     """One file set's owner set: ``owner`` at slot 0, derived replicas after.
 
     ``ordered_servers`` must be the sorted live-server list (callers that
@@ -100,14 +100,15 @@ def derive_owner_set(
 
 
 class ReplicatedPolicy(PlacementPolicy):
-    """Wrap a single-owner policy with derived ``r``-way owner sets.
+    """Wrap a single-owner policy for a run with ``r``-way owner sets.
 
     The wrapper is transparent on the classic protocol — initial
     assignment, tuning updates, and membership re-placement all pass
-    straight through to the base policy — and adds :meth:`owner_sets`,
-    the assignment-plane expansion the harnesses call when replication
-    is on.  Policy name becomes ``"<base>+r<r>"`` so sweep rows and
-    figures distinguish replication levels.
+    straight through to the base policy — and exposes the base policy's
+    :attr:`placement`, which the harnesses hand to
+    :func:`derive_owner_sets` when replication is on.  Policy name becomes
+    ``"<base>+r<r>"`` so sweep rows and figures distinguish replication
+    levels.
     """
 
     def __init__(self, base: PlacementPolicy, replication: int) -> None:
@@ -146,11 +147,3 @@ class ReplicatedPolicy(PlacementPolicy):
         fail = getattr(self.base, "fail_delegate", None)
         if fail is not None:
             fail()
-
-    def owner_sets(
-        self, primary: Mapping[str, str], servers: Sequence[str]
-    ) -> dict[str, OwnerSet]:
-        """Expand ``primary`` to this policy's ``r``-way owner sets."""
-        return derive_owner_sets(
-            primary, servers, self.replication, placement=self.placement
-        )

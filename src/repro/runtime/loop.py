@@ -82,11 +82,13 @@ class TuningLoop:
         self._priority = priority
 
     # ------------------------------------------------------------------
-    def start(self, first_round_at: float) -> None:
-        """Schedule the first round at an absolute simulated time."""
-        self.engine.schedule_at(
-            first_round_at, self._round, priority=self._priority
-        )
+    def start(self) -> None:
+        """Schedule the first round one interval in, if that is within
+        the run: a run shorter than one interval gets no round."""
+        if self.interval <= self.duration:
+            self.engine.schedule_at(
+                self.interval, self._round, priority=self._priority
+            )
 
     def _round(self) -> None:
         now = self.engine.now

@@ -301,7 +301,7 @@ def dispatch(
         if served is not None:
             served()
         now = engine.now
-        response = request.complete(name, now)
+        response = request.complete(now)
         latency = max(response - service_time, 0.0)
         if router.observes:
             router.observe(name, response)

@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from ..sim.rng import StreamFactory
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.anu import ANUPlacement
+    from ..core.tuning import TuningConfig
 
 
 def max_load_simple_randomization(n_bins: int, n_balls: int) -> float:
@@ -80,6 +85,49 @@ def simulate_simple_randomization(
     )
 
 
+def tune_against_proxy(
+    placement: "ANUPlacement",
+    speeds: Mapping[str, float],
+    weights: Mapping[str, float],
+    rounds: int,
+    config: "TuningConfig",
+) -> tuple[int, float]:
+    """Run up to ``rounds`` delegate rounds against an analytic latency proxy.
+
+    A server's proxy latency is the summed weight of the file sets it
+    hosts divided by its speed: the steady-state, utilization-driven
+    latency the simulator's reports converge to.  Each round assigns the
+    file sets of ``weights``, reports the proxy, and rescales the regions
+    when the delegate tunes.  Returns the rounds run before the delegate
+    stopped tuning (``rounds`` if it never stopped) and the max/mean
+    spread of the proxy latencies as last measured.
+    """
+    from ..core.tuning import DelegateTuner, ServerReport
+
+    tuner = DelegateTuner(config)
+    names = sorted(weights)
+    spread = float("inf")
+    for i in range(rounds):
+        load = dict.fromkeys(placement.servers, 0.0)
+        count = dict.fromkeys(placement.servers, 0)
+        for fs, server in placement.assignment(names).items():
+            load[server] += weights[fs]
+            count[server] += 1
+        reports = [
+            ServerReport(s, load[s] / speeds[s], count[s])
+            for s in placement.servers
+        ]
+        latencies = [r.mean_latency for r in reports if r.request_count > 0]
+        mean = sum(latencies) / len(latencies) if latencies else 0.0
+        spread = max(latencies) / mean if mean > 0 else 1.0
+        decision = tuner.compute(placement.shares(), reports)
+        if not decision.tuned:
+            return i, spread
+        placement.set_shares(decision.new_shares)
+        placement.check_invariants()
+    return rounds, spread
+
+
 def anu_normalized_max_after_tuning(
     n_servers: int, n_filesets: int, rounds: int = 20, seed: int = 0
 ) -> float:
@@ -91,26 +139,18 @@ def anu_normalized_max_after_tuning(
     in contrast to simple randomization's growth with ``n``.
     """
     from ..core.anu import ANUPlacement
-    from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
+    from ..core.tuning import TuningConfig
 
     placement = ANUPlacement([f"s{i}" for i in range(n_servers)])
     names = [f"fs{i}-{seed}" for i in range(n_filesets)]
-    tuner = DelegateTuner(
+    tune_against_proxy(
+        placement,
+        dict.fromkeys(placement.servers, 1.0),
+        dict.fromkeys(names, 1.0),
+        rounds,
         TuningConfig(use_thresholding=True, threshold=0.05,
-                     use_top_off=False, use_divergent=False, max_step=2.0)
+                     use_top_off=False, use_divergent=False, max_step=2.0),
     )
-    for _ in range(rounds):
-        assignment = placement.assignment(names)
-        counts = {s: 0 for s in placement.servers}
-        for server in assignment.values():
-            counts[server] += 1
-        reports = [
-            ServerReport(s, float(counts[s]), counts[s]) for s in placement.servers
-        ]
-        decision = tuner.compute(placement.shares(), reports)
-        if not decision.tuned:
-            break
-        placement.set_shares(decision.new_shares)
     assignment = placement.assignment(names)
     final = np.bincount(
         [sorted(placement.servers).index(s) for s in assignment.values()],

@@ -22,19 +22,18 @@ from repro.sim import Engine
 # ----------------------------------------------------------------------
 def test_request_latency_lifecycle():
     r = MetadataRequest(arrival=1.0, fileset="fs", cost=0.5)
-    with pytest.raises(ValueError):
-        _ = r.latency
-    lat = r.complete("s1", 3.0)
+    assert r.completion is None
+    lat = r.complete(3.0)
     assert lat == pytest.approx(2.0)
-    assert r.served_by == "s1"
+    assert r.completion == 3.0
     with pytest.raises(ValueError):
-        r.complete("s1", 4.0)
+        r.complete(4.0)
 
 
 def test_request_completion_before_arrival_rejected():
     r = MetadataRequest(arrival=5.0, fileset="fs", cost=0.5)
     with pytest.raises(ValueError):
-        r.complete("s1", 4.0)
+        r.complete(4.0)
 
 
 def test_request_ids_unique():
@@ -132,8 +131,8 @@ def test_server_fail_orphans_outstanding():
     for r in reqs:
         server.submit(r, 10.0, lambda: None)
     orphans = server.fail()
-    assert len(orphans) == 3
-    assert all(r.retries == 1 for r in orphans)
+    assert orphans == reqs
+    assert server.outstanding == {}
     assert not server.alive
     with pytest.raises(RuntimeError):
         server.fail()

@@ -6,7 +6,7 @@ and queue, time and account for each request with
 stream (the fs stack directly, the queueing stack through the bridged
 trace) with the tuning interval past the end of the run, both make the
 same owner picks at every step, so they must emit the same arrival,
-dispatch and completion records.
+dispatch and completion records, and neither may run a tuning round.
 
 The comparison stops at r=2.  At r=3 JSQ(2) samples two of three owners,
 and the two stacks draw that sample from differently named streams
@@ -56,3 +56,7 @@ def test_cluster_and_fs_stacks_emit_the_same_request_records(
         fs_records = fs_sink.of_kind(kind)
         assert len(fs_records) == len(operations)
         assert cluster_sink.of_kind(kind) == fs_records, kind
+    # A run shorter than one tuning interval runs no round on either stack.
+    for sink in (fs_sink, cluster_sink):
+        assert sink.of_kind("tuning") == []
+        assert sink.of_kind("move-start") == []

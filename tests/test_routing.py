@@ -3,7 +3,7 @@
 Covers the :mod:`repro.runtime.routing` router family (passthrough
 identity, JSQ(d) queue choice, weighted-power-of-d limp discovery, the
 registry), the assignment-plane owner-set machinery
-(:mod:`repro.placement.replicated`, :func:`~repro.core.movement.diff_owner_sets`,
+(:mod:`repro.placement.replicated`,
 :meth:`~repro.core.anu.ANUPlacement.locate_owner_set`), and the wiring of
 both planes through the queueing harness.
 """
@@ -16,15 +16,11 @@ from repro import ClusterConfig, ClusterSimulation, SyntheticConfig, \
 from repro.cluster.server import MetadataServer, ServerSpec
 from repro.core.anu import ANUPlacement
 from repro.core.hashing import hash_to_choice, hash_to_distinct_choices
-from repro.core.movement import Move, diff_assignment, diff_owner_sets
 from repro.placement import (
     ANUPolicy,
     ReplicatedPolicy,
     derive_owner_set,
     derive_owner_sets,
-    normalize_owner_set,
-    normalize_owner_sets,
-    validate_owner_sets,
 )
 from repro.runtime.routing import (
     ROUTER_FACTORIES,
@@ -212,11 +208,11 @@ def test_derive_owner_sets_r1_is_identity():
 def test_derive_owner_sets_slot_zero_is_primary():
     primary = {name: SERVERS[i % 6] for i, name in enumerate(FILESETS)}
     sets = derive_owner_sets(primary, SERVERS, 3)
+    assert sorted(sets) == FILESETS
     for name, owners in sets.items():
         assert owners[0] == primary[name]
         assert len(owners) == len(set(owners)) == 3
         assert set(owners) <= set(SERVERS)
-    validate_owner_sets(sets, FILESETS, SERVERS, replication=3)
 
 
 def test_derive_owner_set_single_matches_bulk():
@@ -243,43 +239,12 @@ def test_replicated_policy_wraps_transparently():
     a = base.initial_assignment(FILESETS, SERVERS)
     b = wrapped.initial_assignment(FILESETS, SERVERS)
     assert a == b
-    sets = wrapped.owner_sets(b, SERVERS)
+    sets = derive_owner_sets(b, SERVERS, 2, placement=wrapped.placement)
     for name, owners in sets.items():
         assert owners[0] == b[name]
         assert len(owners) == 2
     with pytest.raises(ValueError):
         ReplicatedPolicy(ANUPolicy(), 0)
-
-
-def test_owner_set_normalization_and_validation():
-    assert normalize_owner_set("a") == ("a",)
-    assert normalize_owner_set(("a", "b")) == ("a", "b")
-    with pytest.raises(ValueError):
-        normalize_owner_set(())
-    with pytest.raises(ValueError):
-        normalize_owner_set(("a", "a"))
-    assert normalize_owner_sets({"fs": "a"}) == {"fs": ("a",)}
-    with pytest.raises(ValueError):
-        validate_owner_sets({"fs": ("ghost",)}, ["fs"], ["a"])
-
-
-# ----------------------------------------------------------------------
-# Slot-wise diffs
-# ----------------------------------------------------------------------
-def test_diff_owner_sets_equals_diff_assignment_for_str_maps():
-    old = {"f1": "a", "f2": "b", "f3": "c"}
-    new = {"f1": "a", "f2": "c", "f3": "a"}
-    assert diff_owner_sets(old, new) == diff_assignment(old, new)
-
-
-def test_diff_owner_sets_emits_slot_moves():
-    old = {"f1": ("a", "b")}
-    new = {"f1": ("a", "c")}
-    diff = diff_owner_sets(old, new)
-    assert diff.moves == (Move("f1", "b", "c", slot=1),)
-    # A brand-new replica slot appears as a move from nowhere.
-    grown = diff_owner_sets({"f1": ("a",)}, {"f1": ("a", "c")})
-    assert grown.moves == (Move("f1", None, "c", slot=1),)
 
 
 # ----------------------------------------------------------------------

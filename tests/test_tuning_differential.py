@@ -55,7 +55,7 @@ class Stacks:
         self.policy_decision = None
         self.cluster_decision = None
         self._spy(self.policy.rounds, "policy_decision")
-        self._spy(self.cluster.rounds, "cluster_decision")
+        self._spy(self.cluster.policy.rounds, "cluster_decision")
         self.plane.start()
         self.next_name = N_NODES
         self.rounds = 0
