@@ -201,3 +201,23 @@ def test_transfer_to_unknown_server_changes_nothing():
     assert cluster.owner_of("fs0") == owner
     assert cluster.services[owner].owns("fs0")
     cluster.check_consistency()
+
+
+def test_membership_changes_replace_through_the_policy_placement():
+    """The cluster keeps no placement of its own: every membership change
+    re-places the one its :class:`ANUPolicy` holds, so the attribute
+    :meth:`owner_set_of` reads stays that object and names the live
+    services."""
+    cluster = make_cluster(("a", "b", "c", "d"))
+    placement = cluster.policy.placement
+    assert cluster.placement is placement
+    for change in (
+        lambda: cluster.fail_server("b"),
+        lambda: cluster.add_server("e"),
+        lambda: cluster.remove_server("c"),
+        lambda: cluster.add_server("b"),
+    ):
+        change()
+        assert cluster.placement is cluster.policy.placement is placement
+        assert sorted(placement.servers) == sorted(cluster.services)
+        cluster.check_consistency()

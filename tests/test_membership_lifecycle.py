@@ -615,3 +615,23 @@ def test_director_rejects_taking_down_the_last_live_server(kind):
         director.apply(FaultEvent(Seconds(2.0), kind, "b"))
     assert roster.live() == ["b"]
     assert host.calls == calls and sink.records == records
+
+
+@pytest.mark.parametrize("kind", [FaultKind.FAIL, FaultKind.DECOMMISSION])
+def test_apply_event_rejects_last_live_server_before_touching_roster(kind):
+    """The shared event dispatch checks for a survivor before the
+    transition, so a rejected event leaves the roster as it was, and the
+    schedule validator rejects the same event."""
+    from repro.membership import apply_event
+
+    roster = MembershipRoster({"a": 1.0, "b": 2.0})
+    apply_event(roster, FaultEvent(Seconds(1.0), FaultKind.FAIL, "a"))
+    with pytest.raises(LifecycleError, match="no live server"):
+        apply_event(roster, FaultEvent(Seconds(2.0), kind, "b"))
+    assert roster.state_of("b") is ServerState.UP
+    assert roster.live() == ["b"]
+    roster.check_invariants()
+    schedule = FaultSchedule().fail(1.0, "a")
+    schedule.add(FaultEvent(Seconds(2.0), kind, "b"))
+    with pytest.raises(ValueError, match="no live server"):
+        schedule.validate({"a", "b"})

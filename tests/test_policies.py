@@ -330,3 +330,30 @@ def test_anu_share_history_records_region_evolution():
     # The slow server's region shrank from its uniform start.
     final = pol.share_history[-1][1]
     assert final["server0"] < 0.1
+
+
+def test_anu_policy_tune_returns_decision_and_update_logs_shares():
+    """``tune`` is the bare delegate round (the fs cluster calls it);
+    ``update`` adds only the share-history entry of a tuned round."""
+    pol = ANUPolicy()
+    a = pol.initial_assignment(FILESETS, SERVERS)
+    balanced = [ServerReport(s, 0.01, 100) for s in SERVERS]
+    new, decision = pol.tune(balanced, FILESETS)
+    assert new is None and not decision.tuned
+    hot = [ServerReport("s0", 1.0, 100)] + [
+        ServerReport(s, 0.01, 100) for s in SERVERS[1:]
+    ]
+    new, decision = pol.tune(hot, FILESETS)
+    assert decision.tuned and "s0" in decision.tuned
+    assert new == pol.placement.assignment(FILESETS)
+    assert new != a
+    assert pol.share_history == []
+    # update() on a twin policy runs the same round and logs its shares.
+    twin = ANUPolicy()
+    twin.initial_assignment(FILESETS, SERVERS)
+    twin.update(make_context(a, reports=balanced))
+    assert twin.update(make_context(a, reports=hot)) == new
+    assert twin.share_history == [(
+        120.0,
+        {s: pol.placement.interval.share_fraction(s) for s in SERVERS},
+    )]

@@ -57,3 +57,28 @@ def test_anu_tuning_caps_imbalance_independent_of_n():
     anu_large = anu_normalized_max_after_tuning(40, 4000, rounds=25)
     simple_large = simulate_simple_randomization(40, 4000, trials=10)
     assert anu_large < simple_large.mean_normalized_max
+
+
+def test_tune_against_proxy_shrinks_the_slow_servers_region():
+    """The shared analytic tuning loop: the first round measures the
+    uniform start, later rounds the rescaled regions, and it reports the
+    round at which the delegate stopped tuning."""
+    from repro.core.anu import ANUPlacement
+    from repro.core.tuning import TuningConfig
+    from repro.theory.bounds import tune_against_proxy
+
+    speeds = {"s0": 1.0, "s1": 3.0, "s2": 5.0, "s3": 7.0}
+    weights = {f"fs{i}": 1.0 for i in range(200)}
+    start = ANUPlacement(sorted(speeds))
+    ran, start_spread = tune_against_proxy(
+        start, speeds, weights, 1, TuningConfig()
+    )
+    assert ran == 1 and start_spread > 1.5
+    tuned = ANUPlacement(sorted(speeds))
+    stopped, spread = tune_against_proxy(
+        tuned, speeds, weights, 40, TuningConfig()
+    )
+    assert 1 <= stopped < 40
+    assert spread < start_spread
+    shares = tuned.shares()
+    assert shares["s0"] < min(shares[s] for s in ("s1", "s2", "s3"))

@@ -425,3 +425,51 @@ def test_delegate_round_forgets_history_on_failover_and_membership_change(
             assert previous is None, f"round {k} saw stale history"
         else:
             assert previous == calls[k - 1][0], f"round {k} lost its history"
+
+
+# ----------------------------------------------------------------------
+# TuningLoop: the one first-round rule both timed harnesses share
+# ----------------------------------------------------------------------
+class _RecordingHost:
+    """A host that logs each round's time and keeps its assignment."""
+
+    def __init__(self) -> None:
+        self.round_times: list[float] = []
+
+    def build_tuning_context(self, now, interval):
+        from types import SimpleNamespace
+
+        self.round_times.append(now)
+        return SimpleNamespace(reports=[], assignment={})
+
+    def decide(self, context):
+        return None, None
+
+    def realize(self, old, new):  # pragma: no cover - decide never moves
+        raise AssertionError("no assignment change was decided")
+
+
+@pytest.mark.parametrize(
+    "interval, duration, round_times",
+    [
+        (10.0, 35.0, [10.0, 20.0, 30.0]),
+        (10.0, 10.0, [10.0]),
+        (10.0, 9.0, []),
+        (1e6, 35.0, []),
+    ],
+)
+def test_tuning_loop_first_round_is_one_interval_in(
+    interval, duration, round_times
+):
+    """A run shorter than one interval gets no round; otherwise rounds
+    fall at every whole interval within the run."""
+    from repro.runtime.loop import TuningLoop
+    from repro.sim import Engine
+
+    engine = Engine()
+    host = _RecordingHost()
+    loop = TuningLoop(engine, interval, duration, host)
+    loop.start()
+    engine.run()
+    assert host.round_times == round_times
+    assert loop.rounds == len(round_times)
