@@ -10,10 +10,14 @@ updates all travel the simulated network, and a delegate crash mid-run is
 healed by a real election.
 
 Composition: an :class:`~repro.placement.ANUPolicy` places the file sets
-but the simulation's own tuning loop never starts; one protocol node per
-server reads that server's latency from the simulation's collector and
-the elected delegate's config updates are applied — exactly once per
-epoch — as share rescales + file-set moves.
+but the simulation's own tuning loop never starts; a
+:class:`~repro.proto.ControlPlane` with one node per server reads that
+server's latency from the simulation's collector, and the elected
+delegate's config updates are applied — exactly once per epoch — as
+share rescales + file-set moves.  The simulation's own
+:class:`~repro.membership.director.MembershipDirector` drives both
+halves: each lifecycle primitive changes the plane's node through the
+plane's primitive of the same name, then the queueing server.
 """
 
 from __future__ import annotations
@@ -21,17 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from ..core.tuning import TuningConfig
-from ..membership.faults import FaultEvent, FaultKind, FaultSchedule
+from ..core.tuning import ServerReport, TuningConfig
+from ..membership.faults import FaultSchedule
 from ..placement.anu_policy import ANUPolicy
+from ..proto.control import ControlPlane
 from ..proto.network import Network, NetworkConfig
-from ..proto.node import ProtocolConfig, ServerNode
+from ..proto.node import ProtocolConfig
 from ..runtime.routing import RequestRouter
 from ..runtime.telemetry import TelemetrySink
-from ..sim.events import PRIORITY_EARLY
 from ..sim.rng import StreamFactory
+from ..units import Seconds
 from ..workloads.trace import Trace
 from .cluster import ClusterConfig, ClusterSimulation, RunResult
+from .request import MetadataRequest
 
 
 @dataclass
@@ -45,7 +51,7 @@ class ProtocolRunResult:
     messages_dropped: int
 
 
-class ProtocolDrivenCluster:
+class ProtocolDrivenCluster(ClusterSimulation):
     """Queueing cluster + §4 control plane on one engine."""
 
     def __init__(
@@ -60,75 +66,41 @@ class ProtocolDrivenCluster:
         router: RequestRouter | None = None,
         replication: int = 1,
     ) -> None:
-        self.config = config
-        # Only places file sets: shares change by the delegate's configs.
-        self.policy = ANUPolicy()
-        # The sink sees the queueing stream (arrivals, moves) from the
-        # simulation plus protocol-level records (elections, delegate
-        # rounds) from the nodes.  Dispatch happens inside the wrapped
-        # simulation, so forwarding router + replication there puts the
-        # routing plane under the protocol-driven stack too.
-        self.sim = ClusterSimulation(
+        # The policy only places file sets: shares change by the
+        # delegate's configs.  The sink sees the queueing stream
+        # (arrivals, moves) plus the nodes' protocol records (elections,
+        # delegate rounds).
+        super().__init__(
             config,
-            self.policy,
+            ANUPolicy(),
             trace,
             faults=faults,
             telemetry=telemetry,
             router=router,
             replication=replication,
         )
-        factory = StreamFactory(config.seed).spawn("protocol")
-        self.network = Network(self.sim.engine, factory.stream("network"), network)
         self.protocol = protocol or ProtocolConfig(
             tuning_interval=config.tuning_interval
         )
-        self._tuning = tuning
-        self._telemetry = telemetry
         self._applied_epoch = -1
         self.config_updates_applied = 0
         self.delegate_history: list[tuple[float, str]] = []
-        self.nodes: dict[str, ServerNode] = {}
-        server_names = sorted(self.sim.servers)
-        for i, name in enumerate(server_names):
-            self.nodes[name] = self._make_node(name, i, server_names)
-        # Mirror membership events onto the protocol nodes.  The queueing
-        # side is handled by the simulation's own membership director;
-        # these callbacks (scheduled first, so they fire first at equal
-        # times) keep the control plane's node set in step.
-        if faults is not None:
-            for ev in faults:
-                self.sim.engine.schedule_at(
-                    ev.time, self._mirror_fault, ev, priority=PRIORITY_EARLY
-                )
-
-    # ------------------------------------------------------------------
-    def _make_node(
-        self, name: str, priority: int, peers: list[str]
-    ) -> ServerNode:
-        """A protocol node reporting ``name``'s latency from the collector,
-        starting with an equal share for each of ``peers``."""
-        return ServerNode(
-            name=name,
-            priority=priority,
-            engine=self.sim.engine,
-            network=self.network,
-            report_source=self._make_report_source(name),
+        rng = StreamFactory(config.seed).spawn("protocol").stream("network")
+        self.plane = ControlPlane(
+            sorted(self.servers),
+            network=Network(self.engine, rng, network),
+            protocol_config=self.protocol,
+            tuning=tuning,
+            latency_model=self._report,
+            telemetry=telemetry,
             on_config=self._apply_config,
-            config=self.protocol,
-            tuning=self._tuning,
-            initial_shares={s: 1.0 for s in peers},
-            telemetry=self._telemetry,
         )
 
-    def _make_report_source(self, name: str):
-        def source():
-            now = self.sim.engine.now
-            interval = self.protocol.tuning_interval
-            return self.sim.collector.interval_report(
-                name, max(0.0, now - interval), now
-            )
-
-        return source
+    # ------------------------------------------------------------------
+    def _report(self, name: str, now: float) -> ServerReport:
+        """``name``'s latency over the last tuning interval."""
+        start = max(0.0, now - self.protocol.tuning_interval)
+        return self.collector.interval_report(name, start, now)
 
     def _apply_config(self, shares: Mapping[str, float], epoch: int) -> None:
         """Exactly-once application of a config update to the placement."""
@@ -151,85 +123,74 @@ class ProtocolDrivenCluster:
         placement.set_shares(merged)
         placement.check_invariants()
         self.config_updates_applied += 1
-        old = self.sim.planned_assignment()
-        new = placement.assignment(list(self.sim.trace.fileset_names))
-        self.sim.realize(old, new)
-
-    def _shutdown_protocol(self) -> None:
-        for node in self.nodes.values():
-            if node.alive:
-                node.shutdown()
-
-    def _mirror_fault(self, event: FaultEvent) -> None:
-        """Reflect one schedule event on the protocol node set; the four
-        kinds that re-place file sets also drop the report history."""
-        kind = event.kind
-        if kind is FaultKind.DELEGATE_CRASH:
-            delegate = next(
-                (node for node in self.nodes.values() if node.is_delegate), None
-            )
-            if delegate is not None:
-                delegate.crash()
-            return
-        if kind in (FaultKind.DEGRADE, FaultKind.RESTORE):
-            # Gray failures change service times on the queueing side
-            # (the simulation's own director realizes them via
-            # set_speed); protocol nodes model no service speed, and the
-            # limp must not perturb elections or heartbeats — mirror the
-            # factor onto the node for observability and nothing else.
-            self.nodes[event.server].speed = (
-                event.factor if kind is FaultKind.DEGRADE else 1.0
-            )
-            return
-        if kind is FaultKind.FAIL:
-            self.nodes[event.server].crash()
-        elif kind is FaultKind.RECOVER:
-            self.nodes[event.server].recover()
-        elif kind is FaultKind.DECOMMISSION:
-            self.nodes[event.server].shutdown()
-        else:  # COMMISSION: a fresh node outranking every existing one
-            priority = max(n.priority for n in self.nodes.values()) + 1
-            node = self._make_node(
-                event.server, priority, [*sorted(self.nodes), event.server]
-            )
-            self.nodes[event.server] = node
-            node.start()
-        for node in self.nodes.values():
-            node.forget_history()
+        old = self.planned_assignment()
+        new = placement.assignment(list(self.trace.fileset_names))
+        self.realize(old, new)
 
     # ------------------------------------------------------------------
-    def run(self) -> ProtocolRunResult:
+    # MembershipHost primitives: the plane's node first, then the server
+    # ------------------------------------------------------------------
+    def crash_server(
+        self, server: str, now: Seconds
+    ) -> list[MetadataRequest]:
+        self.plane.crash_server(server, now)
+        return super().crash_server(server, now)
+
+    def drain_server(self, server: str, now: Seconds) -> None:
+        self.plane.drain_server(server, now)
+        super().drain_server(server, now)
+
+    def restart_server(self, server: str, now: Seconds) -> None:
+        self.plane.restart_server(server, now)
+        super().restart_server(server, now)
+
+    def install_server(self, server: str, speed: float, now: Seconds) -> None:
+        self.plane.install_server(server, speed, now)
+        super().install_server(server, speed, now)
+
+    def set_speed(self, server: str, factor: float, now: Seconds) -> None:
+        """Protocol nodes model no service speed: the limp moves the
+        node's ``speed`` for observability and never perturbs elections
+        or heartbeats."""
+        self.plane.set_speed(server, factor, now)
+        super().set_speed(server, factor, now)
+
+    def delegate_failover(self, now: Seconds) -> None:
+        """Crash the plane's delegate node; its server keeps serving, so
+        nothing enters the roster and the election heals the plane."""
+        self.plane.delegate_failover(now)
+        return super().delegate_failover(now)
+
+    def membership_assignment(self) -> tuple[dict[str, str], dict[str, str]]:
+        self.plane.membership_assignment()
+        return super().membership_assignment()
+
+    # ------------------------------------------------------------------
+    def run(self) -> ProtocolRunResult:  # type: ignore[override]
         """Start the protocol nodes and execute the full trace."""
-        for node in self.nodes.values():
-            node.start()
+        self.plane.start()
         self._watch_delegate()
         # Stop the protocol's self-rescheduling timers when the trace ends
         # so the queueing drain phase terminates.
-        self.sim.engine.schedule_at(
-            self.sim.trace.duration, self._shutdown_protocol
-        )
-        result = self.sim._replay()
+        self.engine.schedule_at(self.trace.duration, self.plane.stop)
+        result = self._replay()
+        nodes = self.plane.nodes.values()
         return ProtocolRunResult(
-            run=replace(
-                result,
-                tuning_rounds=sum(n.rounds_run for n in self.nodes.values()),
-            ),
+            run=replace(result, tuning_rounds=sum(n.rounds_run for n in nodes)),
             delegate_history=self.delegate_history,
             config_updates_applied=self.config_updates_applied,
-            messages_sent=self.network.sent,
-            messages_dropped=self.network.dropped,
+            messages_sent=self.plane.network.sent,
+            messages_dropped=self.plane.network.dropped,
         )
 
     def _watch_delegate(self) -> None:
         """Sample the elected delegate once per tuning interval (log)."""
-        current = next(
-            (n for n, node in self.nodes.items() if node.is_delegate), None
-        )
+        current = self.plane.current_delegate()
         if current is not None and (
             not self.delegate_history or self.delegate_history[-1][1] != current
         ):
-            self.delegate_history.append((self.sim.engine.now, current))
-        if self.sim.engine.now <= self.sim.trace.duration:
-            self.sim.engine.schedule(
+            self.delegate_history.append((self.engine.now, current))
+        if self.engine.now <= self.trace.duration:
+            self.engine.schedule(
                 self.protocol.tuning_interval / 2, self._watch_delegate
             )

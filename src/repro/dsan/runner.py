@@ -103,9 +103,13 @@ def _fs(seed: int, sink: TelemetrySink, quick: bool) -> None:
 
 
 def _proto(seed: int, sink: TelemetrySink, quick: bool) -> None:
-    """Run the protocol-driven queueing stack."""
+    """Chaos-soak the protocol-driven queueing stack: elections after
+    crashes and commissions, and the control plane's rank map."""
     from ..cluster import ServerSpec
+    from ..membership.injector import FaultInjector
+    from ..membership.soak import SOAK_CHURN
     from ..runtime import Scenario
+    from ..units import Seconds
     from ..workloads import SyntheticConfig, generate_synthetic
 
     trace = generate_synthetic(
@@ -117,10 +121,13 @@ def _proto(seed: int, sink: TelemetrySink, quick: bool) -> None:
             seed=seed,
         )
     )
+    servers = [ServerSpec(f"server{i}", float(2 * i + 1)) for i in range(4)]
+    speeds = {s.name: s.speed for s in servers}
+    faults = FaultInjector(speeds, SOAK_CHURN, seed=seed).generate(
+        Seconds(trace.duration)
+    )
     Scenario(
-        servers=[ServerSpec(f"server{i}", float(2 * i + 1)) for i in range(4)],
-        trace=trace,
-        seed=seed,
+        servers=servers, trace=trace, faults=faults, seed=seed
     ).run_protocol(sink)
 
 

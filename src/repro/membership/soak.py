@@ -77,7 +77,9 @@ SOAK_CHURN = ChaosProfile(
 #: Like :data:`SOAK_CHURN` but delegate crashes removed and commissions
 #: restricted to recovering drained nodes: the protocol stack realizes
 #: ``DELEGATE_CRASH`` by downing the actual delegate, which a
-#: pre-validated schedule cannot anticipate (see tests/test_membership_chaos).
+#: pre-validated schedule cannot anticipate (see tests/test_membership_chaos),
+#: and a fresh node's share map never converges with its elders' (a
+#: delegate's update names only the servers it tuned).
 PROTO_CHURN = ChaosProfile(
     mttf=Seconds(60.0),
     mttr=Seconds(15.0),

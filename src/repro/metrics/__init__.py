@@ -22,13 +22,12 @@ from .balance import (
     max_over_mean,
 )
 from .latency import LatencyCollector, LatencySeries
-from .summary import run_summary, tail_summary, weighted_mean_latency
+from .summary import run_summary, weighted_mean_latency
 
 __all__ = [
     "LatencyCollector",
     "LatencySeries",
     "run_summary",
-    "tail_summary",
     "weighted_mean_latency",
     "balance_summary",
     "coefficient_of_variation",

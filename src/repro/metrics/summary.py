@@ -2,25 +2,22 @@
 
 One implementation of the run-level summary math that the cluster,
 full-system, and protocol harnesses previously each re-derived: the
-request-weighted mean latency over a windowed series, the scalar metric
-table behind report/figure code, and tail percentiles.
-
-Tail summaries delegate to :meth:`repro.metrics.latency.LatencyCollector.
-tail_summary` — the single-pass vector-quantile fast path — whenever the
-result still carries its collector, so p50/p95/p99/max never re-pool
-samples per percentile.
+request-weighted mean latency over a windowed series and the scalar
+metric table behind report/figure code.  Tail percentiles come from
+:meth:`repro.metrics.latency.LatencyCollector.tail_summary`, the
+single-pass vector-quantile path, which every result's collector offers.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from .latency import LatencyCollector, LatencySeries
+from .latency import LatencySeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.result import SimResult
 
-__all__ = ["weighted_mean_latency", "run_summary", "tail_summary"]
+__all__ = ["weighted_mean_latency", "run_summary"]
 
 
 def weighted_mean_latency(
@@ -46,36 +43,3 @@ def run_summary(result: "SimResult") -> dict[str, float]:
         "retries": float(result.retries),
     }
 
-
-def tail_summary(
-    collector: LatencyCollector | None,
-    series: LatencySeries | None = None,
-    server: str | None = None,
-) -> dict[str, float]:
-    """p50/p95/p99/max of a run's latency samples.
-
-    Prefers the collector's pooled single-pass quantile path.  When only a
-    windowed series survives (e.g. a result loaded from disk), falls back
-    to the per-window means — an approximation, flagged by the
-    ``"approximate"`` key so tables can annotate it.
-    """
-    if collector is not None:
-        return collector.tail_summary(server)
-    if series is None:
-        raise ValueError("need a collector or a series")
-    import numpy as np
-
-    names = [server] if server is not None else series.servers
-    pools = [series.mean_latency[s][series.counts[s] > 0] for s in names]
-    pools = [p for p in pools if len(p)]
-    if not pools:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0, "approximate": 1.0}
-    values = np.concatenate(pools) if len(pools) > 1 else pools[0]
-    p50, p95, p99, top = np.percentile(values, (50.0, 95.0, 99.0, 100.0))
-    return {
-        "p50": float(p50),
-        "p95": float(p95),
-        "p99": float(p99),
-        "max": float(top),
-        "approximate": 1.0,
-    }

@@ -1,23 +1,24 @@
 """Control-plane harness: wire protocol nodes to a network and a clock.
 
 :class:`ControlPlane` assembles a full §4 control plane on one simulation
-engine: N server nodes with bully election and heartbeats, a lossy
+engine: server nodes with bully election and heartbeats, a lossy
 network, and per-node latency sources.  It manages no file-set placement:
-each node's applied configs are only logged (``config_log``) — the
-replicated state is just the share map, which :meth:`shares_agree`
-checks.  :class:`repro.cluster.protocol_driver.ProtocolDrivenCluster`
-is the harness that drives a real placement from the same nodes.
+each node's applied configs are logged (``config_log``) and handed to an
+optional ``on_config`` hook — the replicated state is just the share map,
+which :meth:`shares_agree` checks.
 
-Intended for tests, the protocol example, and the protocol ablation bench;
-the queueing figures use the simpler direct-call delegate in
-:mod:`repro.cluster` (protocol latencies are microscopic next to 2-minute
-tuning intervals, so the figures are unaffected — the interesting protocol
-behaviour is fail-over, which is what this harness exercises).
+Standalone (its own engine and roster) it is the protocol stack of the
+tests, the chaos soak, the protocol example and the protocol ablation
+bench.  :class:`repro.cluster.protocol_driver.ProtocolDrivenCluster`
+builds one on the queueing simulation's engine, names its nodes after
+the servers, and drives its :class:`MembershipHost` primitives from the
+simulation's own director, so both stacks run one node set, one
+election rank map and one delegate rule.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Sequence
 
 from ..core.tuning import ServerReport, TuningConfig
 from ..membership.director import MembershipDirector
@@ -28,7 +29,7 @@ from ..sim.engine import Engine
 from ..sim.rng import StreamFactory
 from ..units import Seconds
 from .network import Network, NetworkConfig
-from .node import ProtocolConfig, ServerNode
+from .node import ConfigSink, ProtocolConfig, ServerNode
 
 
 class ControlPlane:
@@ -43,35 +44,51 @@ class ControlPlane:
 
     def __init__(
         self,
-        n_nodes: int,
+        nodes: int | Sequence[str],
         seed: int = 0,
         network_config: NetworkConfig | None = None,
         protocol_config: ProtocolConfig | None = None,
         tuning: TuningConfig | None = None,
         latency_model: Callable[[str, float], ServerReport] | None = None,
         telemetry: TelemetrySink | None = None,
+        network: Network | None = None,
+        on_config: ConfigSink | None = None,
     ) -> None:
-        """``latency_model(name, now)`` supplies each node's report; the
-        default reports constant equal latency (nothing to tune)."""
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        self.engine = Engine()
-        factory = StreamFactory(seed)
-        self.network = Network(
-            self.engine, factory.stream("network"), network_config
+        """``nodes`` is a node count (named ``node00``, ``node01``, ...)
+        or the node names, lowest election rank first.
+        ``latency_model(name, now)`` supplies each node's report; the
+        default reports constant equal latency (nothing to tune).
+        ``network`` runs the plane on that network's engine (``seed``
+        and ``network_config`` then go unused); by default the plane
+        builds its own engine and network.  ``on_config(shares, epoch)``
+        sees every config a node applies."""
+        names = (
+            [f"node{i:02d}" for i in range(nodes)]
+            if isinstance(nodes, int) else list(nodes)
         )
+        if not names:
+            raise ValueError("need at least one node")
+        if network is None:
+            network = Network(
+                Engine(), StreamFactory(seed).stream("network"), network_config
+            )
+        self.network = network
+        self.engine = network.engine
+        self._on_config = on_config
         self._latency_model = latency_model or (
             lambda name, now: ServerReport(name, 0.01, 100)
         )
         self._protocol_config = protocol_config
         self._tuning = tuning
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
-        names = [f"node{i:02d}" for i in range(n_nodes)]
+        #: Election rank per node, shared by every node: list order, and
+        #: a commissioned node ranks above all existing ones.
+        self.ranks = {name: rank for rank, name in enumerate(names)}
         initial = {name: 1.0 for name in names}
         self.nodes: dict[str, ServerNode] = {}
         self.config_log: list[tuple[float, str, int]] = []
-        for i, name in enumerate(names):
-            self.nodes[name] = self._make_node(name, i, dict(initial))
+        for name in names:
+            self.nodes[name] = self._make_node(name, dict(initial))
         self.roster = MembershipRoster(names)
         self.director = MembershipDirector(
             self.roster,
@@ -80,12 +97,10 @@ class ControlPlane:
             clock=lambda: Seconds(self.engine.now),
         )
 
-    def _make_node(
-        self, name: str, priority: int, shares: dict[str, float]
-    ) -> ServerNode:
+    def _make_node(self, name: str, shares: dict[str, float]) -> ServerNode:
         return ServerNode(
             name=name,
-            priority=priority,
+            ranks=self.ranks,
             engine=self.engine,
             network=self.network,
             report_source=self._make_source(name),
@@ -100,8 +115,10 @@ class ControlPlane:
         return lambda: self._latency_model(name, self.engine.now)
 
     def _make_sink(self, name: str):
-        def sink(shares: Mapping[str, float], epoch: int) -> None:
+        def sink(shares: dict[str, float], epoch: int) -> None:
             self.config_log.append((self.engine.now, name, epoch))
+            if self._on_config is not None:
+                self._on_config(shares, epoch)
 
         return sink
 
@@ -114,6 +131,12 @@ class ControlPlane:
     def run_until(self, time: float) -> None:
         """Advance the simulation clock to ``time``."""
         self.engine.run(until=time)
+
+    def stop(self) -> None:
+        """Quietly stop every node's timer loops (the end of a run, not
+        a membership event), so the engine's calendar can drain."""
+        for node in self.nodes.values():
+            node.shutdown()
 
     # ------------------------------------------------------------------
     def crash(self, name: str) -> None:
@@ -174,10 +197,10 @@ class ControlPlane:
         self.nodes[server].recover()
 
     def install_server(self, server: str, speed: float, now: Seconds) -> None:
-        """Create and start a fresh node (priority above all existing)."""
-        priority = max(n.priority for n in self.nodes.values()) + 1
+        """Create and start a fresh node (ranked above all existing)."""
+        self.ranks[server] = max(self.ranks.values()) + 1
         shares = {name: 1.0 for name in sorted(self.nodes)} | {server: 1.0}
-        node = self._make_node(server, priority, shares)
+        node = self._make_node(server, shares)
         self.nodes[server] = node
         node.start()
 
@@ -193,12 +216,9 @@ class ControlPlane:
         """Kill the agreed delegate node; the bully election heals it.
 
         Returns the victim's name so the director records the crash in
-        the roster (``None`` when no delegate is currently agreed).  The
-        majority view can lag a recent crash — nodes keep voting for a
-        dead delegate until heartbeats time out — so an already-down
-        victim also counts as "no delegate to kill"."""
+        the roster (``None`` when no live delegate is currently agreed)."""
         victim = self.current_delegate()
-        if victim is None or not self.roster.is_live(victim):
+        if victim is None:
             return None
         self.nodes[victim].crash()
         return victim
@@ -225,8 +245,14 @@ class ControlPlane:
         return sorted(n for n, node in self.nodes.items() if node.alive)
 
     def current_delegate(self) -> str | None:
-        """The delegate as seen by a majority of live nodes (None if the
-        cluster disagrees)."""
+        """The delegate as seen by a majority of live nodes; ``None`` if
+        the cluster disagrees or that node is down.
+
+        The majority view can lag a crash — nodes keep voting for a dead
+        delegate until heartbeats time out — so the vote winner must be
+        alive.  Liveness is the node's own, not the roster's: a host
+        that drives the primitives from its own director leaves this
+        plane's roster unused."""
         views: dict[str, int] = {}
         for node in self.nodes.values():
             if node.alive and node.delegate is not None:
@@ -234,12 +260,9 @@ class ControlPlane:
         if not views:
             return None
         best, votes = max(views.items(), key=lambda kv: kv[1])
-        return best if votes > len(self.live_nodes) // 2 else None
-
-    def agreed_epoch(self) -> int | None:
-        """The config epoch if all live nodes agree, else None."""
-        epochs = {n.epoch for n in self.nodes.values() if n.alive}
-        return epochs.pop() if len(epochs) == 1 else None
+        if votes <= len(self.live_nodes) // 2 or not self.nodes[best].alive:
+            return None
+        return best
 
     def shares_agree(self, tolerance: float = 1e-9) -> bool:
         """True when every live node holds the same share map."""

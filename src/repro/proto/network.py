@@ -76,10 +76,6 @@ class Network:
     def nodes(self) -> list[str]:
         return sorted(self._handlers)
 
-    def is_up(self, name: str) -> bool:
-        """True when the node receives messages."""
-        return self._up.get(name, False)
-
     def set_down(self, name: str) -> None:
         """Partition/crash a node: it receives nothing until set_up."""
         if name not in self._handlers:

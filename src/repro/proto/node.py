@@ -28,7 +28,7 @@ so the same nodes can drive a real :class:`repro.core.anu.ANUPlacement`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from ..core.tuning import DelegateRoundDriver, ServerReport, TuningConfig
 from ..runtime.telemetry import (
@@ -80,12 +80,18 @@ ConfigSink = Callable[[dict[str, float], int], None]
 
 
 class ServerNode:
-    """One server participating in the delegate protocol."""
+    """One server participating in the delegate protocol.
+
+    ``ranks`` maps every node's name to its election rank (static
+    cluster configuration, known out of band in the target system).  The
+    host shares one map among its nodes and adds a joining node's rank
+    before building it, so every node ranks itself and its peers alike.
+    """
 
     def __init__(
         self,
         name: str,
-        priority: int,
+        ranks: Mapping[str, int],
         engine: Engine,
         network: Network,
         report_source: ReportSource,
@@ -96,7 +102,7 @@ class ServerNode:
         telemetry: TelemetrySink | None = None,
     ) -> None:
         self.name = name
-        self.priority = priority
+        self._ranks = ranks
         self.engine = engine
         self.network = network
         self.config = config or ProtocolConfig()
@@ -138,7 +144,7 @@ class ServerNode:
         self._last_heartbeat = self.engine.now
         # Stagger by priority so the highest-priority node usually wins the
         # bootstrap race without churn.
-        delay = 0.01 * (1 + max(0, 100 - self.priority))
+        delay = 0.01 * (1 + max(0, 100 - self._ranks[self.name]))
         self.engine.schedule(delay, self._maybe_start_election)
         self.engine.schedule(
             self.config.heartbeat_timeout, self._check_heartbeat
@@ -222,7 +228,7 @@ class ServerNode:
         current = self.delegate
         if current is None or current == leader:
             return True
-        return self._priority_of(leader) >= self._priority_of(current)
+        return self._ranks[leader] >= self._ranks[current]
 
     def _on_heartbeat(self, hb: Heartbeat) -> None:
         if self._accepts_leader(hb.delegate, hb.epoch):
@@ -293,7 +299,7 @@ class ServerNode:
         self._election_round += 1
         higher = [
             n for n in self.network.nodes
-            if n != self.name and self._priority_of(n) > self.priority
+            if n != self.name and self._ranks[n] > self._ranks[self.name]
         ]
         for node in higher:
             self.network.send(self.name, node, Election(candidate=self.name))
@@ -301,12 +307,6 @@ class ServerNode:
             self.config.election_timeout, self._election_decide,
             self._election_round,
         )
-
-    def _priority_of(self, name: str) -> int:
-        # Priority is communicated out-of-band (static cluster config in
-        # the target system); here it is the registry's numeric suffix.
-        digits = "".join(ch for ch in name if ch.isdigit())
-        return int(digits) if digits else 0
 
     def _election_decide(self, round_: int) -> None:
         if (

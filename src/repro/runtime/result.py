@@ -8,7 +8,7 @@ figures, benches, and tests keep working unchanged.
 
 The result keeps a reference to its :class:`~repro.metrics.latency.
 LatencyCollector` so tail percentiles go through the collector's
-single-pass quantile fast path (see :mod:`repro.metrics.summary`).
+single-pass quantile fast path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..core.movement import MovementLedger
 from ..metrics.latency import LatencyCollector, LatencySeries
-from ..metrics.summary import run_summary, tail_summary, weighted_mean_latency
+from ..metrics.summary import run_summary, weighted_mean_latency
 
 __all__ = ["SimResult", "summarize_collector"]
 
@@ -41,9 +41,7 @@ class SimResult:
     tuning_rounds: int
     #: The raw sample store behind ``series`` (kept for fast-path tail
     #: summaries; excluded from equality so results compare by content).
-    collector: LatencyCollector | None = field(
-        default=None, repr=False, compare=False
-    )
+    collector: LatencyCollector = field(repr=False, compare=False)
 
     def summary(self) -> dict[str, float]:
         """Scalar metrics for report tables (shared schema, see metrics)."""
@@ -51,7 +49,7 @@ class SimResult:
 
     def tail_summary(self, server: str | None = None) -> dict[str, float]:
         """p50/p95/p99/max latency via the collector's pooled fast path."""
-        return tail_summary(self.collector, self.series, server)
+        return self.collector.tail_summary(server)
 
 
 def summarize_collector(

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fs.ops import Operation
     from ..fs.simulation import FullSystemResult
     from ..membership.faults import FaultSchedule
-    from ..membership.injector import FaultInjector
     from ..placement.base import PlacementPolicy
     from ..proto.node import ProtocolConfig
     from ..workloads.trace import Trace
@@ -65,10 +64,6 @@ class Scenario:
         default_factory=lambda: policy_factory("anu")
     )
     faults: "FaultSchedule | None" = None
-    #: Stochastic chaos source: when set (and ``faults`` is not), each
-    #: queueing/protocol run generates its schedule from the injector over
-    #: the trace duration — seeded, so every run sees the same events.
-    injector: "FaultInjector | None" = None
     tuning_interval: float = 120.0
     sample_window: float = 60.0
     seed: int = 0
@@ -89,10 +84,6 @@ class Scenario:
             raise ValueError("a scenario needs at least one server")
         if self.trace is None and self.operations is None:
             raise ValueError("a scenario needs a trace or an operation stream")
-        if self.faults is not None and self.injector is not None:
-            raise ValueError(
-                "give either an explicit fault schedule or an injector, not both"
-            )
         if self.replication < 1:
             raise ValueError(
                 f"replication must be >= 1, got {self.replication!r}"
@@ -112,16 +103,6 @@ class Scenario:
 
         return make_router(self.router or "single")
 
-    def fault_schedule(self) -> "FaultSchedule | None":
-        """The run's fault schedule: explicit, injector-generated, or None."""
-        if self.faults is not None:
-            return self.faults
-        if self.injector is not None:
-            from ..units import Seconds
-
-            return self.injector.generate(Seconds(self.cluster_trace().duration))
-        return None
-
     # ------------------------------------------------------------------
     @property
     def speeds(self) -> dict[str, float]:
@@ -132,13 +113,13 @@ class Scenario:
         """The queueing-harness trace (bridged from operations if needed)."""
         if self.trace is not None:
             return self.trace
-        from ..fs.cluster import MetadataCluster
+        from ..fs.cluster import FileSetRegistry
         from ..fs.workload import ops_to_trace
 
         if self.fileset_roots is None:
             raise ValueError("bridging operations to a trace needs fileset_roots")
         operations = self.operations or []
-        registry = MetadataCluster(["bridge"], self.fileset_roots).registry
+        registry = FileSetRegistry(self.fileset_roots)
         duration = operations[-1].time if operations else 0.0
         return ops_to_trace(operations, registry, self.mean_op_cost, duration)
 
@@ -159,7 +140,7 @@ class Scenario:
             config,
             self.policy(),
             self.cluster_trace(),
-            faults=self.fault_schedule(),
+            faults=self.faults,
             telemetry=telemetry,
             router=self.make_router(),
             replication=self.replication,
@@ -176,8 +157,6 @@ class Scenario:
                 "the full-system run needs operations and fileset_roots"
             )
         if self.faults is not None and len(list(self.faults)) > 0:
-            raise ValueError("the full-system harness has a static server set")
-        if self.injector is not None:
             raise ValueError("the full-system harness has a static server set")
         config = FullSystemConfig(
             server_speeds=self.speeds,
@@ -214,7 +193,7 @@ class Scenario:
             tuning=self.tuning,
             protocol=protocol,
             telemetry=telemetry,
-            faults=self.fault_schedule(),
+            faults=self.faults,
             router=self.make_router(),
             replication=self.replication,
         ).run()

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
+from repro.cluster.protocol_driver import ProtocolDrivenCluster
 from repro.fs import FileSystemClient, MetadataCluster
 from repro.membership import (
     LIMP_CHURN,
@@ -31,6 +32,7 @@ from repro.membership import (
     MembershipRoster,
     apply_event,
 )
+from repro.membership.soak import SOAK_CHURN, SOAK_LIMP, PairingLaw
 from repro.placement import ANUPolicy, ReplicatedPolicy
 from repro.proto import ControlPlane, ProtocolConfig
 from repro.runtime import CallbackSink, MemorySink
@@ -420,13 +422,14 @@ FAST = ProtocolConfig(
     tuning_interval=5.0,
 )
 
-#: Commission churn limited to recovering drained nodes (fresh protocol
-#: nodes would get digit-derived peer priorities that clash with their
-#: assigned ones), and no stochastic delegate crashes: the protocol stack
-#: realizes DELEGATE_CRASH by downing the *actual* delegate node, which
-#: the injector's roster model cannot predict — later events in a
-#: pre-validated schedule could then target an already-dead server.  The
-#: delegate path is instead exercised explicitly at the end of the test.
+#: Commission churn limited to recovering drained nodes (a fresh node's
+#: share map never converges with its elders': a delegate's update names
+#: only the servers it tuned), and no stochastic delegate crashes: the
+#: standalone protocol stack realizes DELEGATE_CRASH by downing the
+#: *actual* delegate node, which the injector's roster model cannot
+#: predict — later events in a pre-validated schedule could then target
+#: an already-dead server.  The delegate path is instead exercised
+#: explicitly at the end of the test.
 NODE_CHURN = ChaosProfile(
     mttf=Seconds(60.0),
     mttr=Seconds(15.0),
@@ -477,3 +480,35 @@ def test_chaos_proto_stack(seed):
     assert cp.shares_agree()
     # Telemetry saw one fault record per applied event.
     assert len(sink.of_kind("fault")) == len(faults) + 1
+
+
+@pytest.mark.parametrize("profile", [SOAK_CHURN, SOAK_LIMP], ids=["churn", "limp"])
+@pytest.mark.parametrize("seed", range(8))
+def test_chaos_protocol_driven_cluster(seed, profile):
+    """The shipped protocol stack under every fault kind: one director
+    drives the servers and the control plane's nodes together, so no
+    node outlives its server, and every request completes once."""
+    trace = generate_synthetic(
+        SyntheticConfig(n_filesets=30, n_requests=1000, duration=1200.0,
+                        request_cost=0.3, seed=3)
+    )
+    faults = FaultInjector(SPEEDS, profile, seed=seed).generate(
+        Seconds(trace.duration)
+    )
+    law = PairingLaw(f"seed {seed}")
+
+    def on_record(record):
+        law.observe(record)
+        if record.kind == "membership":
+            live = set(pd.roster.live())
+            for name, node in pd.plane.nodes.items():
+                assert not node.alive or name in live, (name, record)
+
+    config = ClusterConfig(servers=paper_servers(), tuning_interval=120.0,
+                           sample_window=60.0, seed=1)
+    pd = ProtocolDrivenCluster(
+        config, trace, faults=faults, telemetry=CallbackSink(on_record)
+    )
+    result = pd.run()
+    law.close()
+    assert sum(result.run.completed.values()) == len(trace)

@@ -162,3 +162,20 @@ def test_two_node_cluster_delegate_loss():
     cp.crash(cp.current_delegate())
     cp.run_until(15.0)
     assert cp.current_delegate() == cp.live_nodes[0]
+
+
+@pytest.mark.parametrize("newcomer", ["chaos0", "node05"])
+def test_commissioned_node_keeps_its_rank_after_a_peer_recovers(newcomer):
+    """A commissioned node ranks above every existing node whatever its
+    name: every node reads one rank map, so a recovering peer defers to
+    the newcomer."""
+    cp = ControlPlane(5, seed=1, protocol_config=FAST)
+    cp.start()
+    cp.run_until(10.0)
+    cp.commission(newcomer)
+    cp.run_until(20.0)
+    cp.crash("node04")
+    cp.run_until(30.0)
+    cp.recover("node04")
+    cp.run_until(45.0)
+    assert cp.current_delegate() == newcomer

@@ -83,7 +83,7 @@ def test_config_applied_exactly_once_per_epoch():
     res = pd.run()
     # Every applied epoch is distinct: the apply guard deduplicates the
     # per-node broadcast of each ConfigUpdate.
-    assert res.config_updates_applied <= pd.nodes["server4"].epoch
+    assert res.config_updates_applied <= pd.plane.nodes["server4"].epoch
 
 
 def test_one_tuning_record_per_delegate_round():
@@ -102,7 +102,7 @@ def test_one_tuning_record_per_delegate_round():
     res = pd.run()
     decided = sink.of_kind("tuning")
     assert decided
-    assert len(decided) == sum(n.rounds_run for n in pd.nodes.values())
+    assert len(decided) == sum(n.rounds_run for n in pd.plane.nodes.values())
     assert res.run.tuning_rounds == len(decided)
     assert all(r.average is not None for r in decided)
     # One delegate at a time: no two records share a round's time.
